@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from . import __version__, rng
-from .graph import Graph, ball_profile
+from .graph import Graph, _bfs, _build_csr, ball_profile
 from .overlay import HighwayOverlay, OverlayParams, build_overlay
 from .routing import route
 
@@ -317,7 +317,6 @@ def _augmented_csr(graph: Graph, overlay: HighwayOverlay | None
         contacts = overlay.contacts(int(u))
         heads.append(np.full(contacts.size, u, dtype=np.int64))
         tails.append(contacts.astype(np.int64))
-    from .graph import _build_csr
     return _build_csr(graph.n, np.concatenate(heads), np.concatenate(tails))
 
 
@@ -328,9 +327,9 @@ def estimate_diameter(graph: Graph, overlay: HighwayOverlay | None,
     """Directed diameter of the graph augmented with long-range contacts.
 
     ``exact`` evaluates every source (refused above ``exact_cap``
-    nodes); ``sampled`` lower-bounds via sampled sources.
+    nodes); ``sampled`` lower-bounds via sampled sources. Sources go to
+    the BFS kernel in blocks of about 2^16 distance cells.
     """
-    from .graph import _bfs
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be exact or sampled")
     if mode == "exact" and graph.n > exact_cap:
@@ -339,9 +338,11 @@ def estimate_diameter(graph: Graph, overlay: HighwayOverlay | None,
     indptr, indices = _augmented_csr(graph, overlay)
     sources = (np.arange(graph.n) if mode == "exact"
                else _sample_nodes(graph.n, samples, seed, tag=5))
+    block = max(1, (1 << 16) // graph.n)
     best = 0
-    for u in sources:
-        dist = _bfs(indptr, indices, graph.n, (int(u),))
+    for i in range(0, len(sources), block):
+        dist = _bfs(indptr, indices, graph.n, sources[i:i + block],
+                    min_only=False)
         if dist.min() < 0:
             raise ValueError("augmented graph is not strongly connected")
         best = max(best, int(dist.max()))
@@ -373,11 +374,14 @@ def _fit_growth(excess: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
     """Growth exponent of ball excesses |B_l| - 1 at radii l = 1..L.
 
     For each grid alpha, fits a*l^alpha + b*l^(alpha-1) + c*l^(alpha-2)
-    (at most L - 1 of these terms) by relative least squares. Among the
-    alphas with a > 0 (all of them if none has), the winner is the
-    smallest whose residual lies within FIT_TIE of their minimum; on a
-    ring, 2l fits exactly at alpha = 1, 2 and 3. Returns (alpha, spread
-    ratio of excess / l^alpha at that alpha).
+    (at most L - 1 of these terms) by relative least squares. An alpha
+    qualifies when its leading term dominates at radius L, a > 0 and
+    a >= |b|/L + |c|/L^2 (failing that, when a > 0; failing that, every
+    alpha does): a vanishing a would let l^(alpha-2) carry the fit. The
+    winner is the smallest qualifying alpha whose residual lies within
+    FIT_TIE of their minimum; on a ring, 2l fits exactly at alpha = 1, 2
+    and 3. Returns (alpha, spread ratio of excess / l^alpha at that
+    alpha).
     """
     radii = np.arange(1, excess.size + 1, dtype=np.float64)
     terms = min(3, excess.size - 1)
@@ -389,7 +393,11 @@ def _fit_growth(excess: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
     coef = np.linalg.solve(r, q.sum(axis=1)[:, :, None])[:, :, 0]
     resid = np.einsum("gij,gj->gi", design, coef) - 1.0
     cost = (resid ** 2).sum(axis=1)
-    ok = coef[:, 0] > 0
+    lead = coef[:, 0]
+    tail = (np.abs(coef[:, 1:]) / radii[-1] ** np.arange(1, terms)).sum(axis=1)
+    ok = (lead > 0) & (lead >= tail)
+    if not ok.any():
+        ok = lead > 0
     if not ok.any():
         ok[:] = True
     best = int(np.flatnonzero(ok & (cost <= cost[ok].min() + FIT_TIE))[0])

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Progress goes to stdout; data artifacts go to the files named by the
-flags. Exit codes: 0 success, 1 usage error, 2 data error. ``--threads``
-(or FGSW_THREADS) only parallelizes batch routing and never changes
-output bytes.
+flags. Exit codes: 0 success, 1 usage error, 2 data error. Routing is
+serial; ``--threads`` (or FGSW_THREADS) is accepted for compatibility
+and never changes output bytes.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphFormatError, LatticeHint, _bfs, _build_csr
+from .graph import (Graph, GraphFormatError, LatticeHint, _build_csr,
+                    _components)
 
 log = logging.getLogger(__name__)
 
@@ -154,19 +155,14 @@ def import_dimacs(path) -> DimacsImport:
     key = np.unique(lo * n_decl + hi)
     lo, hi = key // n_decl, key % n_decl
 
-    # locate the largest component over declared nodes with any edge
+    # keep the largest component; on a size tie, the one holding the
+    # lowest node id (isolated declared nodes are singletons and lose to
+    # any edge's component)
     indptr, indices = _build_csr(n_decl, np.concatenate([lo, hi]),
                                  np.concatenate([hi, lo]))
-    comp = np.full(n_decl, -1, dtype=np.int64)
-    comp_sizes = []
-    for start in range(n_decl):
-        if comp[start] < 0 and indptr[start + 1] > indptr[start]:
-            reach = _bfs(indptr, indices, n_decl, (start,)) >= 0
-            comp[reach] = len(comp_sizes)
-            comp_sizes.append(int(reach.sum()))
-    if not comp_sizes:
-        raise GraphFormatError(f"{path}: no usable nodes")
-    best = int(np.argmax(comp_sizes))  # ties: earliest (lowest start id)
+    comp = _components(indptr, indices, n_decl)[1]
+    sizes = np.bincount(comp)
+    best = comp[np.flatnonzero(sizes[comp] == sizes.max())[0]]
     keep = np.flatnonzero(comp == best)
     dropped = n_decl - keep.size
     if dropped:

@@ -1,9 +1,11 @@
 """Undirected graph core: CSR storage, BFS distances, balls and shells.
 
-Hop distance is the only metric in the package. BFS defines it; lattice
-generators may attach a coordinate hint that lets ``distance_row``
-evaluate the same metric in closed form (the equivalence is asserted by
-tests, not assumed).
+Hop distance is the only metric in the package. One BFS defines it:
+``_bfs``, scipy's csgraph Dijkstra over unit-weight arcs, behind every
+distance row, ball, shell and diameter; components come from csgraph
+over the same arcs. Lattice generators may attach a coordinate hint
+that lets ``distance_row`` evaluate the same metric in closed form (the
+equivalence is asserted by tests, not assumed).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 UNREACHABLE = -1
 
@@ -129,13 +132,7 @@ class Graph:
         return int(self.distance_row(u).max())
 
     def component_count(self) -> int:
-        seen = np.zeros(self.n, dtype=bool)
-        count = 0
-        for start in range(self.n):
-            if not seen[start]:
-                count += 1
-                seen |= _bfs(self.indptr, self.indices, self.n, (start,)) >= 0
-        return count
+        return _components(self.indptr, self.indices, self.n)[0]
 
     # -- text format ----------------------------------------------------
 
@@ -194,42 +191,37 @@ def _build_csr(n: int, heads: np.ndarray, tails: np.ndarray
     return indptr, tails.astype(np.int32)
 
 
+def _adjacency(indptr: np.ndarray, indices: np.ndarray, n: int
+               ) -> csr_array:
+    """CSR arcs as a sparse matrix of unit weights; shares ``indices``."""
+    return csr_array((np.ones(indices.size), indices,
+                      indptr.astype(indices.dtype)), shape=(n, n))
+
+
 def _bfs(indptr: np.ndarray, indices: np.ndarray, n: int,
          sources: Sequence[int], cutoff: int | None = None,
-         size_stop: int | None = None) -> np.ndarray:
-    """Level-synchronous BFS; returns the distance array.
+         min_only: bool = True) -> np.ndarray:
+    """Hop distances along the directed arcs of a CSR graph (int32).
 
-    ``cutoff`` stops after that many levels; ``size_stop`` stops once
-    the visited count reaches the threshold (the level that crossed it
-    is fully expanded either way).
+    The package's one BFS kernel. With ``min_only`` it returns one row,
+    the distance to the nearest source; otherwise one row per source.
+    Nodes farther than ``cutoff`` (or with no path) are UNREACHABLE.
+    The arcs already weigh 1, so csgraph's ``unweighted`` flag, which
+    copies the weights, is left off.
     """
-    dist = np.full(n, UNREACHABLE, dtype=np.int32)
-    frontier = np.asarray(sources, dtype=np.int32)
-    dist[frontier] = 0
-    level = 0
-    visited = frontier.size
-    while frontier.size:
-        if cutoff is not None and level >= cutoff:
-            break
-        if size_stop is not None and visited >= size_stop:
-            break
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        base = np.repeat(starts, counts)
-        step = np.arange(total, dtype=np.int64)
-        step -= np.repeat(np.cumsum(counts) - counts, counts)
-        neigh = indices[base + step]
-        neigh = neigh[dist[neigh] < 0]
-        if neigh.size == 0:
-            break
-        frontier = np.unique(neigh)
-        level += 1
-        dist[frontier] = level
-        visited += frontier.size
-    return dist
+    dist = csgraph.dijkstra(_adjacency(indptr, indices, n),
+                            indices=sources, min_only=min_only,
+                            limit=np.inf if cutoff is None else cutoff)
+    dist[np.isinf(dist)] = UNREACHABLE
+    return dist.astype(np.int32)
+
+
+def _components(indptr: np.ndarray, indices: np.ndarray, n: int
+                ) -> tuple[int, np.ndarray]:
+    """(count, per-node label) of the strong components of the arcs;
+    on symmetric arcs these are the ordinary connected components."""
+    return csgraph.connected_components(_adjacency(indptr, indices, n),
+                                        connection="strong")
 
 
 def bfs(graph: Graph, source: int, cutoff: int | None = None) -> DistanceField:
@@ -256,40 +248,17 @@ def ball(graph: Graph, u: int, radius: int) -> np.ndarray:
     return np.flatnonzero(dist >= 0).astype(np.int32)
 
 
-def ball_profile(graph: Graph, u: int, size_stop: int | None = None,
-                 radius_cap: int | None = None) -> np.ndarray:
+def ball_profile(graph: Graph, u: int, size_stop: int | None = None
+                 ) -> np.ndarray:
     """Cumulative ball sizes [|B_0|, |B_1|, ...] from u.
 
-    Stops once the size reaches ``size_stop`` or the radius reaches
-    ``radius_cap``; the final entry is the first that crossed a bound
-    (or the full-graph count).
+    With ``size_stop`` the profile ends at the first size that reaches
+    it (or at the full-graph count).
     """
-    indptr, indices, n = graph.indptr, graph.indices, graph.n
-    dist = np.full(n, UNREACHABLE, dtype=np.int32)
-    dist[u] = 0
-    frontier = np.asarray([u], dtype=np.int32)
-    sizes = [1]
-    while frontier.size:
-        if size_stop is not None and sizes[-1] >= size_stop:
-            break
-        if radius_cap is not None and len(sizes) - 1 >= radius_cap:
-            break
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        base = np.repeat(starts, counts)
-        step = np.arange(total, dtype=np.int64)
-        step -= np.repeat(np.cumsum(counts) - counts, counts)
-        neigh = indices[base + step]
-        neigh = neigh[dist[neigh] < 0]
-        if neigh.size == 0:
-            break
-        frontier = np.unique(neigh)
-        dist[frontier] = len(sizes)
-        sizes.append(sizes[-1] + frontier.size)
-    return np.asarray(sizes, dtype=np.int64)
+    sizes = np.cumsum(np.bincount(graph.distance_row(u)))
+    if size_stop is not None:
+        sizes = sizes[:np.searchsorted(sizes, size_stop) + 1]
+    return sizes
 
 
 def shell(graph: Graph, u: int, width: int, index: int) -> np.ndarray:
@@ -318,7 +287,5 @@ def pack_independent_balls(graph: Graph, radius: int) -> np.ndarray:
     for u in range(graph.n):
         if available[u]:
             centers.append(u)
-            dist = _bfs(graph.indptr, graph.indices, graph.n, (u,),
-                        cutoff=2 * radius)
-            available[dist >= 0] = False
+            available[ball(graph, u, 2 * radius)] = False
     return np.asarray(centers, dtype=np.int32)

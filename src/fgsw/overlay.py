@@ -75,7 +75,8 @@ class HighwayOverlay:
     """Sampled highway set plus per-node contact lists and z values.
 
     Contact lists and z(u) are materialized on first access and cached;
-    the result never depends on access order.
+    the result never depends on access order. The caches are filled
+    without locks, so an overlay is single-threaded.
     """
 
     def __init__(self, graph: Graph, params: OverlayParams,

@@ -26,7 +26,6 @@ Every hop is labeled with its edge kind (local / long-range) and phase
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -173,27 +172,15 @@ def route_batch(graph: Graph, overlay: HighwayOverlay,
                 pairs: Sequence[tuple[int, int]],
                 variant: str = "highway-sticky",
                 parallelism: int = 1) -> list[RoutingTrace]:
-    """Route every pair; results keep input order regardless of
-    parallelism, so output bytes never depend on the thread count."""
+    """Route every pair serially, results in input order.
+
+    ``parallelism`` is validated and otherwise ignored; it is kept for
+    compatibility. Routing is serial because the overlay's lazy caches
+    are single-threaded, and a thread pool measured slower than serial.
+    """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    if not pairs:
-        return []
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "highway-aware":
-        overlay.nearest_highway()  # compute once, not per worker
-
-    def one(pair: tuple[int, int]) -> RoutingTrace:
-        s, t = pair
-        return route(graph, overlay, int(s), int(t), variant)
-
-    if parallelism == 1:
-        return [one(p) for p in pairs]
-    # lazy contact materialization is a pure function of (seed, node),
-    # so concurrent workers can only duplicate work, never diverge
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, pairs))
+    return [route(graph, overlay, int(s), int(t), variant) for s, t in pairs]
 
 
 def validate_trace(graph: Graph, overlay: HighwayOverlay,

@@ -2,6 +2,7 @@
 fresh contacts, diameter, dimension estimate, clustering-exponent sweep."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -359,6 +360,42 @@ def test_diameter_sampled_lower_bounds_exact():
     assert again.value == sampled.value
 
 
+def test_diameter_follows_contact_direction(tmp_path):
+    # a 7-node path whose contacts form the one-way cycle 0 -> 6 -> 3 -> 0
+    g = gen_lattice(1, 7, wrap=False)
+    path = tmp_path / "cycle.ov"
+    path.write_text("2 1 1 0 0 7\n"
+                    "h 0 z=1 : 6\n"
+                    "h 3 z=1 : 0\n"
+                    "h 6 z=1 : 3\n")
+    ov = HighwayOverlay.load(g, path)
+    arcs = {u: [int(v) for v in g.neighbors(u)] for u in range(g.n)}
+    for u, v in ((0, 6), (6, 3), (3, 0)):
+        arcs[u].append(v)
+    both_ways = {u: list(vs) for u, vs in arcs.items()}
+    for u, v in ((0, 6), (6, 3), (3, 0)):
+        both_ways[v].append(u)
+
+    def oracle_diameter(adj):
+        best = 0
+        for src in adj:
+            dist = {src: 0}
+            dq = deque([src])
+            while dq:
+                u = dq.popleft()
+                for v in adj[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        dq.append(v)
+            assert len(dist) == len(adj)
+            best = max(best, max(dist.values()))
+        return best
+
+    directed = oracle_diameter(arcs)
+    assert oracle_diameter(both_ways) < directed
+    assert estimate_diameter(g, ov, mode="exact").value == directed
+
+
 def test_diameter_guards():
     g = gen_lattice(2, 16)
     with pytest.raises(ValueError, match="mode must be"):
@@ -397,6 +434,14 @@ def test_estimate_alpha_tori_hit_their_dimension():
     a3 = estimate_alpha(gen_lattice(3, 12), samples=5, seed=11)
     assert a2.alpha_median == pytest.approx(2.0, abs=0.15)
     assert a3.alpha_median == pytest.approx(3.0, abs=0.15)
+
+
+def test_estimate_alpha_sierpinski_has_no_heavy_tail():
+    # a fit whose leading term vanishes at the last fitted radius used to
+    # hand gasket nodes exponents up to 3.5
+    est = estimate_alpha(gen_sierpinski(8), samples=200, seed=11)
+    assert max(p[1] for p in est.per_node) <= 2.5
+    assert 1.4 <= est.alpha_median <= 1.8
 
 
 def test_estimate_alpha_all_skipped_raises():

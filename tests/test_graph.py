@@ -152,11 +152,18 @@ def test_ball_closed_form_2d():
 
 
 def test_ball_profile_matches_ball_sizes():
-    g = random_connected_graph(45, 30, seed=5)
-    prof = ball_profile(g, 9)
-    for radius in range(len(prof)):
-        assert prof[radius] == len(ball(g, 9, radius))
-    assert prof[-1] == g.n
+    # the hinted lattice takes the closed-form row, its copy the BFS row
+    lattice = gen_lattice(2, 9)
+    plain = Graph(lattice.n, lattice.indptr.copy(), lattice.indices.copy())
+    assert lattice.lattice_hint is not None and plain.lattice_hint is None
+    for g in (random_connected_graph(45, 30, seed=5), lattice, plain):
+        prof = ball_profile(g, 9)
+        for radius in range(len(prof)):
+            assert prof[radius] == len(ball(g, 9, radius))
+        assert prof[-1] == g.n
+    for size_stop in (None, 1, 20, 41):
+        assert np.array_equal(ball_profile(lattice, 9, size_stop=size_stop),
+                              ball_profile(plain, 9, size_stop=size_stop))
 
 
 def test_ball_profile_size_stop_overshoots_once():
