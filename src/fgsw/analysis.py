@@ -85,7 +85,7 @@ def sample_far_pairs(graph: Graph, count: int, seed: int,
             s, t = stream.integers(0, graph.n, size=2)
             if s == t:
                 continue
-            d = int(graph.distance_row(int(t))[int(s)])
+            d = graph.distance(int(s), int(t))
             if best is None or d > best[2]:
                 best = (int(s), int(t), d)
             if d >= threshold:
@@ -121,7 +121,7 @@ def ball_highway_stats(graph: Graph, overlay: HighwayOverlay, c: float,
         columns=("center", "radius", "highway_count", "count_over_scale",
                  "seed", "samples"))
     for u in centers:
-        count = int(overlay.is_highway[graph.distance_row(int(u)) <= radius]
+        count = int((graph.distances(int(u), overlay.highway_ids) <= radius)
                     .sum())
         report.rows.append((int(u), radius, count, count / scale,
                             seed, len(centers)))
@@ -145,7 +145,7 @@ def shell_highway_stats(graph: Graph, overlay: HighwayOverlay, width: int,
     b_range = np.arange(b_min, b_max + 1)
     counts = np.zeros((len(centers), len(b_range)), dtype=np.int64)
     for i, u in enumerate(centers):
-        d = graph.distance_row(int(u))[overlay.is_highway]
+        d = graph.distances(int(u), overlay.highway_ids)
         idx = (d - 1) // width  # shell index of each highway node
         idx = idx[(d > b_min * width) & (idx <= b_max)]
         counts[i] = np.bincount(idx - b_min, minlength=len(b_range))
@@ -278,10 +278,9 @@ def fresh_contact_probability(graph: Graph, overlay: HighwayOverlay,
     normalized = []
     for i, u in enumerate(nodes):
         u = int(u)
-        dist_u = graph.distance_row(u)
         fresh = overlay.draw_contact_targets(
             u, overlay.params.draws_per_node, tag=10_000_000 + i)
-        frac = float(np.mean(dist_u[fresh] > radius))
+        frac = float(np.mean(graph.distances(u, fresh) > radius))
         outside.append(frac)
         normalized.append(frac * k * overlay.zvalue(u) / math.log(n))
     report = StatReport(

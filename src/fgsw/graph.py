@@ -3,9 +3,13 @@
 Hop distance is the only metric in the package. One BFS defines it:
 ``_bfs``, scipy's csgraph Dijkstra over unit-weight arcs, behind every
 distance row, ball, shell and diameter; components come from csgraph
-over the same arcs. Lattice generators may attach a coordinate hint
-that lets ``distance_row`` evaluate the same metric in closed form (the
-equivalence is asserted by tests, not assumed).
+over the same arcs. ``Graph`` reads the metric through three entry
+points: ``distance_row(u)`` for a full row, ``distances(u, targets)``
+for a subset and ``distance(u, v)`` for one pair. Lattice generators
+may attach a coordinate hint that lets all three evaluate the same
+metric in closed form, the subset and pair ones without building a row
+(the equivalence is asserted by tests, not assumed); without a hint
+the subset and pair ones read a BFS row.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ class LatticeHint:
     """Coordinate structure of a generated lattice.
 
     Present only on graphs whose hop metric provably equals the
-    (wrapped) L1 coordinate distance; enables O(n) distance rows
-    without BFS.
+    (wrapped) L1 coordinate distance; enables closed-form distance
+    rows, subsets and pairs without BFS.
     """
 
     dim: int
@@ -117,16 +121,41 @@ class Graph:
             self._coords = coords
         return self._coords
 
-    def distance_row(self, u: int) -> np.ndarray:
-        """Hop distance from u to every node (int32)."""
+    def _lattice_distances(self, u: int, coords: np.ndarray) -> np.ndarray:
+        """Closed-form hop distance from u to the nodes whose coordinate
+        columns are ``coords`` (int32)."""
         hint = self.lattice_hint
-        if hint is None:
-            return _bfs(self.indptr, self.indices, self.n, (u,))
-        coords = self._coordinates()
-        delta = np.abs(coords - coords[:, u:u + 1])
+        delta = np.abs(coords - self._coordinates()[:, u:u + 1])
         if hint.wrap:
             np.minimum(delta, hint.side - delta, out=delta)
         return delta.sum(axis=0, dtype=np.int32)
+
+    def distance_row(self, u: int) -> np.ndarray:
+        """Hop distance from u to every node (int32)."""
+        if self.lattice_hint is None:
+            return _bfs(self.indptr, self.indices, self.n, (u,))
+        return self._lattice_distances(u, self._coordinates())
+
+    def distances(self, u: int, targets: np.ndarray) -> np.ndarray:
+        """Hop distance from u to each of ``targets``, in their order
+        (int32)."""
+        if self.lattice_hint is None:
+            return self.distance_row(u)[targets]
+        return self._lattice_distances(
+            u, np.take(self._coordinates(), targets, axis=1))
+
+    def distance(self, u: int, v: int) -> int:
+        """Hop distance between u and v; the BFS fallback reads v's row."""
+        hint = self.lattice_hint
+        if hint is None:
+            return int(self.distance_row(v)[u])
+        u, v, total = int(u), int(v), 0
+        for _ in range(hint.dim):
+            u, a = divmod(u, hint.side)
+            v, b = divmod(v, hint.side)
+            delta = abs(a - b)
+            total += min(delta, hint.side - delta) if hint.wrap else delta
+        return total
 
     def eccentricity(self, u: int) -> int:
         return int(self.distance_row(u).max())

@@ -95,7 +95,7 @@ class HighwayOverlay:
         """(targets, cumulative weights) of u's contact distribution,
         targets in ascending id order."""
         targets = self.highway_ids[self.highway_ids != u]
-        d = self.graph.distance_row(u)[targets].astype(np.float64)
+        d = self.graph.distances(u, targets).astype(np.float64)
         return targets, np.cumsum(d ** -self.params.s)
 
     def _materialize(self, u: int) -> tuple[float, np.ndarray]:

@@ -7,7 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from fgsw import (HighwayOverlay, OverlayParams, StatReport, ball,
+from fgsw import (Graph, HighwayOverlay, OverlayParams, StatReport, ball,
                   ball_highway_stats, build_overlay, estimate_alpha,
                   estimate_diameter, fresh_contact_probability, gen_lattice,
                   gen_sierpinski, highway_distance_stats,
@@ -58,6 +58,16 @@ def test_far_pairs_meet_distance_threshold():
         assert s != t
         assert d == g.distance_row(t)[s]
         assert d >= 16  # half the ring radius
+
+
+def test_far_pairs_same_on_closed_form_and_bfs_metric():
+    # the hinted torus reads closed-form pair distances, its copy BFS rows
+    lattice = gen_lattice(2, 16)
+    plain = Graph(lattice.n, lattice.indptr.copy(), lattice.indices.copy())
+    assert plain.lattice_hint is None
+    pairs = sample_far_pairs(lattice, 30, seed=4)
+    assert pairs == sample_far_pairs(plain, 30, seed=4)
+    assert all(type(x) is int for triple in pairs for x in triple)
 
 
 def test_far_pairs_deterministic():

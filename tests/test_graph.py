@@ -120,6 +120,38 @@ def test_lattice_closed_form_equals_bfs():
                     dim, side, wrap, src)
 
 
+def without_hint(g):
+    return Graph(g.n, g.indptr.copy(), g.indices.copy())
+
+
+def test_subset_and_pair_distances_match_rows():
+    lattices = [gen_lattice(1, 64), gen_lattice(2, 12),
+                gen_lattice(2, 10, wrap=False), gen_lattice(3, 6)]
+    graphs = (lattices + [without_hint(g) for g in lattices]
+              + [gen_sierpinski(4)])
+    assert [g.lattice_hint is None for g in graphs] == [False] * 4 + [True] * 5
+    for g in graphs:
+        stream = substream(17, g.n)
+        for u in (0, g.n // 3, g.n - 1):
+            row = g.distance_row(u)
+            targets = np.union1d(
+                stream.choice(g.n, size=g.n // 4, replace=False), [u]
+            ).astype(np.int32)
+            got = g.distances(u, targets)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, row[targets])
+            assert got[np.searchsorted(targets, u)] == 0
+            # any order, repeats allowed
+            shuffled = stream.permutation(np.concatenate([targets, targets]))
+            assert np.array_equal(g.distances(u, shuffled), row[shuffled])
+            empty = g.distances(u, np.array([], dtype=np.int32))
+            assert empty.dtype == np.int32 and empty.size == 0
+            for v in range(g.n):
+                d = g.distance(v, u)
+                assert type(d) is int and d == row[v]
+            assert g.distance(np.int32(u), np.int64(0)) == row[0]
+
+
 def test_multi_source_bfs_is_min_over_sources():
     g = random_connected_graph(60, 25, seed=3)
     sources = [4, 17, 58]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fgsw import (HighwayOverlay, OverlayError, OverlayParams, build_overlay,
-                  gen_lattice, sample_highway_membership)
+from fgsw import (Graph, HighwayOverlay, OverlayError, OverlayParams,
+                  build_overlay, gen_lattice, sample_highway_membership)
 from fgsw.overlay import MAX_MEMBERSHIP_EPOCHS
 from fgsw.rng import DOMAIN_MEMBERSHIP, substream
 
@@ -181,6 +181,22 @@ def test_lazy_equals_eager_any_access_order():
         u = int(u)
         assert lazy.zvalue(u) == eager.zvalue(u)
         assert np.array_equal(lazy.contacts(u), eager.contacts(u))
+
+
+def test_closed_form_and_bfs_overlays_are_bitwise_equal():
+    # the hinted lattice takes closed-form subset distances, its copy BFS rows
+    lattice = gen_lattice(2, 24)
+    plain = Graph(lattice.n, lattice.indptr.copy(), lattice.indices.copy())
+    assert lattice.lattice_hint is not None and plain.lattice_hint is None
+    params = OverlayParams(k=5, q=2, s=2.3, seed=4)
+    for materialize in (False, True):
+        hinted = build_overlay(lattice, params, materialize=materialize)
+        bfs = build_overlay(plain, params, materialize=materialize)
+        assert np.array_equal(hinted.highway_ids, bfs.highway_ids)
+        for u in hinted.highway_ids:
+            u = int(u)
+            assert hinted.zvalue(u).hex() == bfs.zvalue(u).hex()
+            assert np.array_equal(hinted.contacts(u), bfs.contacts(u))
 
 
 def test_zvalues_aligned_with_highway_ids():
