@@ -2,15 +2,14 @@
 
 Progress goes to stdout; data artifacts go to the files named by the
 flags. Exit codes: 0 success, 1 usage error, 2 data error. Routing is
-serial; ``--threads`` (or FGSW_THREADS) is accepted for compatibility
-and never changes output bytes.
+serial; ``--threads`` (default 1) is accepted for compatibility and
+never changes output bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import __version__, analysis, generators, overlay, routing
@@ -29,16 +28,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-
-
-def _threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("FGSW_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def _resolve_k(spec: str, n: int) -> float:
@@ -100,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--variant", choices=routing.VARIANTS,
                    default="highway-sticky")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("stats", help="overlay structure statistics")
@@ -158,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=routing.VARIANTS,
                    default="highway-sticky")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
 
     return parser
@@ -220,7 +209,7 @@ def _cmd_route_batch(args) -> int:
     pairs = [(s, t) for s, t, _ in
              analysis.sample_far_pairs(graph, args.pairs, args.seed)]
     traces = routing.route_batch(graph, ovl, pairs, args.variant,
-                                 parallelism=_threads(args.threads))
+                                 parallelism=args.threads)
     routing.write_trace_csv(traces, args.out)
     mean = sum(t.hops for t in traces) / len(traces)
     print(f"{len(traces)} pairs, mean hops {mean:.2f} -> {args.out}")
@@ -321,7 +310,6 @@ def _cmd_sweep_s(args) -> int:
 
 def _cmd_scaling(args) -> int:
     sides = [int(s) for s in args.sides.split(",") if s]
-    threads = _threads(args.threads)
     report = analysis.StatReport(
         experiment="scaling",
         params={"dim": args.dim, "sides": args.sides, "k": args.k,
@@ -338,7 +326,7 @@ def _cmd_scaling(args) -> int:
         pairs = [(s, t) for s, t, _ in
                  analysis.sample_far_pairs(graph, args.pairs, args.seed)]
         traces = routing.route_batch(graph, ovl, pairs, args.variant,
-                                     parallelism=threads)
+                                     parallelism=args.threads)
         hops = [t.hops for t in traces]
         report.rows.append((
             side, graph.n, k, math.log(graph.n),

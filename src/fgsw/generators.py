@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, GraphFormatError, LatticeHint, _build_csr,
-                    _components)
+from .graph import (Graph, GraphFormatError, _build_csr, _components,
+                    _lattice_csr)
 
 log = logging.getLogger(__name__)
 
@@ -31,21 +31,7 @@ def gen_lattice(dim: int, side: int, wrap: bool = True,
     if n > node_budget:
         raise ValueError(
             f"side^dim = {n} exceeds the node budget of {node_budget}")
-
-    ids = np.arange(n, dtype=np.int64)
-    heads, tails = [], []
-    for axis in range(dim):
-        stride = side ** (dim - 1 - axis)
-        coord = (ids // stride) % side
-        fwd = coord < side - 1
-        heads.append(ids[fwd])
-        tails.append(ids[fwd] + stride)
-        if wrap:
-            last = coord == side - 1
-            heads.append(ids[last])
-            tails.append(ids[last] - (side - 1) * stride)
-    edges = np.stack([np.concatenate(heads), np.concatenate(tails)], axis=1)
-    return Graph.from_edges(n, edges, lattice_hint=LatticeHint(dim, side, wrap))
+    return Graph(n, *_lattice_csr(dim, side, wrap))
 
 
 def gen_sierpinski(level: int,

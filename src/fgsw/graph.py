@@ -5,8 +5,10 @@ Hop distance is the only metric in the package. One BFS defines it:
 distance row, ball, shell and diameter; components come from csgraph
 over the same arcs. ``Graph`` reads the metric through three entry
 points: ``distance_row(u)`` for a full row, ``distances(u, targets)``
-for a subset and ``distance(u, v)`` for one pair. Lattice generators
-may attach a coordinate hint that lets all three evaluate the same
+for a subset and ``distance(u, v)`` for one pair. A graph whose CSR
+arrays equal those of a row-major lattice recognises itself as one,
+whatever built it (``gen_lattice``, ``Graph.load`` or ``from_edges``),
+and carries a coordinate hint that lets all three evaluate the same
 metric in closed form, the subset and pair ones without building a row
 (the equivalence is asserted by tests, not assumed); without a hint
 the subset and pair ones read a BFS row.
@@ -37,11 +39,12 @@ class DistanceField:
 
 @dataclass(frozen=True)
 class LatticeHint:
-    """Coordinate structure of a generated lattice.
+    """Coordinate structure of a lattice graph.
 
-    Present only on graphs whose hop metric provably equals the
-    (wrapped) L1 coordinate distance; enables closed-form distance
-    rows, subsets and pairs without BFS.
+    ``Graph`` works it out from its own CSR arrays: it is present only
+    when they equal those of the row-major lattice, so the hop metric
+    provably equals the (wrapped) L1 coordinate distance; enables
+    closed-form distance rows, subsets and pairs without BFS.
     """
 
     dim: int
@@ -52,12 +55,11 @@ class LatticeHint:
 class Graph:
     """Immutable connected undirected graph in CSR form."""
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
-                 lattice_hint: LatticeHint | None = None):
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
-        self.lattice_hint = lattice_hint
+        self.lattice_hint = _recognize_lattice(self.n, indptr, indices)
         self._coords: np.ndarray | None = None
         indptr.flags.writeable = False
         indices.flags.writeable = False
@@ -75,8 +77,8 @@ class Graph:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
-                   lattice_hint: LatticeHint | None = None) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray
+                   ) -> "Graph":
         """Build from an edge list (each undirected edge listed once)."""
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                          dtype=np.int64)
@@ -100,7 +102,7 @@ class Graph:
         heads = np.concatenate([lo, hi])
         tails = np.concatenate([hi, lo])
         indptr, indices = _build_csr(n, heads, tails)
-        g = cls(n, indptr, indices, lattice_hint)
+        g = cls(n, indptr, indices)
         comp = g.component_count()
         if comp != 1:
             raise GraphFormatError(
@@ -113,12 +115,7 @@ class Graph:
         hint = self.lattice_hint
         assert hint is not None
         if self._coords is None:
-            ids = np.arange(self.n, dtype=np.int64)
-            coords = np.empty((hint.dim, self.n), dtype=np.int32)
-            for axis in range(hint.dim - 1, -1, -1):
-                coords[axis] = ids % hint.side
-                ids //= hint.side
-            self._coords = coords
+            self._coords = _lattice_coordinates(hint.dim, hint.side)
         return self._coords
 
     def _lattice_distances(self, u: int, coords: np.ndarray) -> np.ndarray:
@@ -174,8 +171,7 @@ class Graph:
         pairs = np.stack([u[mask], v[mask]], axis=1)
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"{self.n} {pairs.shape[0]}\n")
-            for a, b in pairs:
-                fh.write(f"{a} {b}\n")
+            np.savetxt(fh, pairs, fmt="%d")
 
     @classmethod
     def load(cls, path) -> "Graph":
@@ -218,6 +214,65 @@ def _build_csr(n: int, heads: np.ndarray, tails: np.ndarray
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, tails.astype(np.int32)
+
+
+def _lattice_coordinates(dim: int, side: int) -> np.ndarray:
+    """Coordinates of the side**dim row-major lattice ids, one row per
+    axis (int32)."""
+    ids = np.arange(side ** dim, dtype=np.int64)
+    coords = np.empty((dim, ids.size), dtype=np.int32)
+    for axis in range(dim - 1, -1, -1):
+        ids, coords[axis] = np.divmod(ids, side)
+    return coords
+
+
+def _lattice_csr(dim: int, side: int, wrap: bool
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of the row-major side**dim lattice, laid out as
+    ``_build_csr`` lays them out. Each node is joined to its +-1
+    neighbours along every axis, across the boundary only when
+    ``wrap``; callers keep side >= 3 when wrapped, >= 2 otherwise."""
+    n = side ** dim
+    ids = np.arange(n, dtype=np.int64)
+    coords = _lattice_coordinates(dim, side)
+    nbrs = np.full((n, 2 * dim), n, dtype=np.int64)  # n: no neighbour
+    for axis in range(dim):
+        stride = side ** (dim - 1 - axis)
+        across = (side - 1) * stride
+        c = coords[axis]
+        nbrs[:, 2 * axis] = np.where(
+            c > 0, ids - stride, ids + across if wrap else n)
+        nbrs[:, 2 * axis + 1] = np.where(
+            c < side - 1, ids + stride, ids - across if wrap else n)
+    nbrs.sort(axis=1)
+    real = nbrs < n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(real.sum(axis=1), out=indptr[1:])
+    return indptr, nbrs[real].astype(np.int32)
+
+
+def _recognize_lattice(n: int, indptr: np.ndarray, indices: np.ndarray
+                       ) -> LatticeHint | None:
+    """The lattice whose CSR arrays equal the given ones, else None.
+
+    Candidates must have side**dim == n nodes and the lattice's arc
+    count before any array is built; the match compares full arrays.
+    """
+    for dim in (1, 2, 3):
+        side = round(n ** (1 / dim))
+        if side ** dim != n:
+            continue
+        for wrap in (True, False):
+            if side < (3 if wrap else 2):
+                continue
+            arcs = 2 * dim * (side if wrap else side - 1) * side ** (dim - 1)
+            if indices.size != arcs:
+                continue
+            want_indptr, want_indices = _lattice_csr(dim, side, wrap)
+            if (np.array_equal(indptr, want_indptr)
+                    and np.array_equal(indices, want_indices)):
+                return LatticeHint(dim, side, wrap)
+    return None
 
 
 def _adjacency(indptr: np.ndarray, indices: np.ndarray, n: int

@@ -64,6 +64,7 @@ def test_far_pairs_same_on_closed_form_and_bfs_metric():
     # the hinted torus reads closed-form pair distances, its copy BFS rows
     lattice = gen_lattice(2, 16)
     plain = Graph(lattice.n, lattice.indptr.copy(), lattice.indices.copy())
+    plain.lattice_hint = None  # the copy recognises itself; force BFS
     assert plain.lattice_hint is None
     pairs = sample_far_pairs(lattice, 30, seed=4)
     assert pairs == sample_far_pairs(plain, 30, seed=4)

@@ -116,6 +116,13 @@ def test_route_batch_env_thread_fallback(workdir, tmp_path, monkeypatch):
     assert explicit.read_bytes() == env.read_bytes()
 
 
+def test_route_batch_rejects_threads_below_one(workdir, tmp_path):
+    assert main(["route-batch", "--graph", str(workdir / "torus8.txt"),
+                 "--overlay", str(workdir / "torus8.ov"), "--pairs", "5",
+                 "--seed", "4", "--threads", "0",
+                 "--out", str(tmp_path / "hops.csv")]) == 2
+
+
 # -- statistics --------------------------------------------------------------------
 
 

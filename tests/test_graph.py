@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from fgsw import (Graph, GraphFormatError, ball, ball_profile, bfs,
-                  gen_lattice, gen_sierpinski, multi_source_bfs,
+from fgsw import (Graph, GraphFormatError, LatticeHint, ball, ball_profile,
+                  bfs, gen_lattice, gen_sierpinski, multi_source_bfs,
                   pack_independent_balls, shell)
+from fgsw.graph import _lattice_csr
 from fgsw.rng import substream
+
+# (dim, side, wrap): every dim at its minimum sides and at larger ones
+LATTICES = [(dim, side, wrap)
+            for dim, sides in ((1, (3, 2, 17, 16)), (2, (3, 2, 9, 8)),
+                               (3, (3, 2, 5, 4)))
+            for side, wrap in zip(sides, (True, False, True, False))]
 
 
 def bfs_oracle(adj, src):
@@ -77,6 +84,58 @@ def test_neighbors_sorted_ascending():
     assert list(g.neighbors(0)) == [1, 2, 3, 4]
 
 
+# -- lattice recognition -----------------------------------------------------
+
+
+def edge_list_lattice(dim, side, wrap):
+    """The lattice built from its edge list, independently of _lattice_csr."""
+    n = side ** dim
+    ids = np.arange(n, dtype=np.int64)
+    heads, tails = [], []
+    for axis in range(dim):
+        stride = side ** (dim - 1 - axis)
+        coord = (ids // stride) % side
+        fwd = coord < side - 1
+        heads.append(ids[fwd])
+        tails.append(ids[fwd] + stride)
+        if wrap:
+            last = coord == side - 1
+            heads.append(ids[last])
+            tails.append(ids[last] - (side - 1) * stride)
+    edges = np.stack([np.concatenate(heads), np.concatenate(tails)], axis=1)
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("dim,side,wrap", LATTICES)
+def test_lattice_csr_equals_edge_list_construction(dim, side, wrap):
+    ref = edge_list_lattice(dim, side, wrap)
+    indptr, indices = _lattice_csr(dim, side, wrap)
+    assert indptr.dtype == ref.indptr.dtype
+    assert indices.dtype == ref.indices.dtype
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    assert ref.lattice_hint == LatticeHint(dim, side, wrap)
+
+
+def test_non_lattices_get_no_hint():
+    torus = gen_lattice(2, 6)
+    edges = [(u, int(v)) for u in range(torus.n) for v in torus.neighbors(u)
+             if u < v]
+    perm = substream(5, 1).permutation(torus.n)
+    # a double edge swap keeps every degree and the arc count
+    swapped = ([e for e in edges if e not in ((0, 1), (14, 15))]
+               + [(0, 15), (1, 14)])
+    # a star has a path's n and arc count, so only the arrays reject it
+    star = Graph.from_edges(16, [(0, v) for v in range(1, 16)])
+    graphs = [gen_sierpinski(4),
+              Graph.from_edges(torus.n, [(perm[u], perm[v]) for u, v in edges]),
+              Graph.from_edges(torus.n, edges[1:]),
+              Graph.from_edges(torus.n, swapped),
+              star]
+    assert star.indices.size == 2 * (16 - 1)
+    assert [g.lattice_hint for g in graphs] == [None] * len(graphs)
+
+
 # -- distances -------------------------------------------------------------
 
 
@@ -121,7 +180,10 @@ def test_lattice_closed_form_equals_bfs():
 
 
 def without_hint(g):
-    return Graph(g.n, g.indptr.copy(), g.indices.copy())
+    # a copy recognises its own lattice; drop the hint to force BFS rows
+    plain = Graph(g.n, g.indptr.copy(), g.indices.copy())
+    plain.lattice_hint = None
+    return plain
 
 
 def test_subset_and_pair_distances_match_rows():
@@ -186,7 +248,7 @@ def test_ball_closed_form_2d():
 def test_ball_profile_matches_ball_sizes():
     # the hinted lattice takes the closed-form row, its copy the BFS row
     lattice = gen_lattice(2, 9)
-    plain = Graph(lattice.n, lattice.indptr.copy(), lattice.indices.copy())
+    plain = without_hint(lattice)
     assert lattice.lattice_hint is not None and plain.lattice_hint is None
     for g in (random_connected_graph(45, 30, seed=5), lattice, plain):
         prof = ball_profile(g, 9)
@@ -271,6 +333,16 @@ def test_save_load_round_trip(tmp_path):
     g2.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert g2.n == g.n and g2.m == g.m
+
+
+@pytest.mark.parametrize("dim,side,wrap", LATTICES)
+def test_saved_lattice_loads_with_its_hint(tmp_path, dim, side, wrap):
+    g = gen_lattice(dim, side, wrap=wrap)
+    path = tmp_path / "lattice.txt"
+    g.save(path)
+    loaded = Graph.load(path)
+    assert g.lattice_hint == LatticeHint(dim, side, wrap)
+    assert loaded.lattice_hint == g.lattice_hint
 
 
 def test_load_rejects_bad_header(tmp_path):

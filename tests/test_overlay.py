@@ -187,6 +187,7 @@ def test_closed_form_and_bfs_overlays_are_bitwise_equal():
     # the hinted lattice takes closed-form subset distances, its copy BFS rows
     lattice = gen_lattice(2, 24)
     plain = Graph(lattice.n, lattice.indptr.copy(), lattice.indices.copy())
+    plain.lattice_hint = None  # the copy recognises itself; force BFS
     assert lattice.lattice_hint is not None and plain.lattice_hint is None
     params = OverlayParams(k=5, q=2, s=2.3, seed=4)
     for materialize in (False, True):
