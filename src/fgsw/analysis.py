@@ -42,11 +42,6 @@ class StatReport:
             writer.writerow(self.columns)
             writer.writerows(self.rows)
 
-    def default_filename(self, graph_label: str) -> str:
-        n = self.params.get("n", 0)
-        seed = self.params.get("seed", 0)
-        return f"{self.experiment}_{graph_label}_{n}_{seed}.csv"
-
 
 def _sample_nodes(n: int, samples: int, seed: int, tag: int) -> np.ndarray:
     stream = rng.substream(seed, rng.DOMAIN_SAMPLES, tag)

@@ -2,8 +2,8 @@
 
 Progress goes to stdout; data artifacts go to the files named by the
 flags. Exit codes: 0 success, 1 usage error, 2 data error. Routing is
-serial; ``--threads`` (default 1) is accepted for compatibility and
-never changes output bytes.
+serial: ``--threads`` is accepted and ignored, and a value below 1 is a
+data error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .overlay import HighwayOverlay, OverlayError, OverlayParams
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+_THREADS_HELP = "accepted and ignored: routing is serial"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--variant", choices=routing.VARIANTS,
                    default="highway-sticky")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("stats", help="overlay structure statistics")
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=routing.VARIANTS,
                    default="highway-sticky")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
 
     return parser
@@ -208,8 +210,7 @@ def _cmd_route_batch(args) -> int:
     graph, ovl = _load_pair(args)
     pairs = [(s, t) for s, t, _ in
              analysis.sample_far_pairs(graph, args.pairs, args.seed)]
-    traces = routing.route_batch(graph, ovl, pairs, args.variant,
-                                 parallelism=args.threads)
+    traces = routing.route_batch(graph, ovl, pairs, args.variant)
     routing.write_trace_csv(traces, args.out)
     mean = sum(t.hops for t in traces) / len(traces)
     print(f"{len(traces)} pairs, mean hops {mean:.2f} -> {args.out}")
@@ -325,8 +326,7 @@ def _cmd_scaling(args) -> int:
         ovl = overlay.build_overlay(graph, params, materialize=False)
         pairs = [(s, t) for s, t, _ in
                  analysis.sample_far_pairs(graph, args.pairs, args.seed)]
-        traces = routing.route_batch(graph, ovl, pairs, args.variant,
-                                     parallelism=args.threads)
+        traces = routing.route_batch(graph, ovl, pairs, args.variant)
         hops = [t.hops for t in traces]
         report.rows.append((
             side, graph.n, k, math.log(graph.n),
@@ -360,6 +360,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("--threads must be >= 1")
         return _COMMANDS[args.command](args)
     except (GraphFormatError, OverlayError, routing.RoutingError,
             ValueError, OSError) as exc:

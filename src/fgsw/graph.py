@@ -103,7 +103,7 @@ class Graph:
         tails = np.concatenate([hi, lo])
         indptr, indices = _build_csr(n, heads, tails)
         g = cls(n, indptr, indices)
-        comp = g.component_count()
+        comp = _components(indptr, indices, n)[0]
         if comp != 1:
             raise GraphFormatError(
                 f"graph must be connected (found {comp} components)")
@@ -156,9 +156,6 @@ class Graph:
 
     def eccentricity(self, u: int) -> int:
         return int(self.distance_row(u).max())
-
-    def component_count(self) -> int:
-        return _components(self.indptr, self.indices, self.n)[0]
 
     # -- text format ----------------------------------------------------
 

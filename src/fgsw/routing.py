@@ -2,8 +2,9 @@
 
 Three variants:
 
-* ``plain`` — strictly improving moves among local neighbors plus (at
-  highway nodes) long-range contacts; ties break to the lowest id.
+* ``plain`` — the strictly improving move closest to the target among
+  local neighbors and (at highway nodes) long-range contacts; ties break
+  to the lowest id, and a node that is both is a local move.
 * ``highway-sticky`` — at a highway node, the improving long-range
   contact closest to the target (lowest id on ties); otherwise, or
   when no contact improves, a local step that boards the highway
@@ -81,34 +82,42 @@ class RoutingTrace:
         return self.phase_hops(PHASE_TO_TARGET)
 
 
-def _best_improving_local(graph: Graph, dist_t: np.ndarray, u: int,
-                          board: np.ndarray | None = None) -> int:
-    """Lowest-id neighbor closest to the target, which must be strictly
-    closer than u. With a ``board`` mask, a strictly improving neighbor
-    in the mask wins instead if there is one: the closest to the target,
-    lowest id on ties."""
-    nbrs = graph.neighbors(u)
+def _next_hop(graph: Graph, overlay: HighwayOverlay, dist_t: np.ndarray,
+              cur: int, plain: bool) -> tuple[int, str]:
+    """Next node of a greedy walk at ``cur`` and the kind of its edge.
+
+    Sticky and aware walks take the best contact of a highway node
+    (closest to the target, lowest id on ties) whenever it improves.
+    Otherwise the step goes to the lowest-id neighbor closest to the
+    target, which must improve: plain swaps in an improving contact that
+    is smaller by (distance, id), and sticky and aware board the closest
+    improving highway neighbor (lowest id on ties) if there is one.
+    """
+    d_cur = dist_t[cur]
+    contact = None
+    if overlay.is_highway[cur]:
+        contacts = overlay.contacts(cur)
+        if contacts.size:
+            i = int(np.argmin(dist_t[contacts]))  # contacts ascend
+            if dist_t[contacts[i]] < d_cur:
+                contact = int(contacts[i])
+                if not plain:
+                    return contact, KIND_LONG
+    nbrs = graph.neighbors(cur)
     d = dist_t[nbrs]
     i = int(np.argmin(d))  # neighbors ascend, argmin takes first
-    if d[i] >= dist_t[u]:
+    if d[i] >= d_cur:
         raise RoutingError(
-            f"no improving local move at node {u} (connected graph "
+            f"no improving local move at node {cur} (connected graph "
             f"should always have one)")
-    if board is not None:
-        onto = np.flatnonzero(board[nbrs] & (d < dist_t[u]))
+    if not plain:
+        onto = np.flatnonzero(overlay.is_highway[nbrs] & (d < d_cur))
         if onto.size:
             i = int(onto[np.argmin(d[onto])])
-    return int(nbrs[i])
-
-
-def _best_improving_contact(overlay: HighwayOverlay, dist_t: np.ndarray,
-                            u: int) -> int | None:
-    contacts = overlay.contacts(u)
-    if contacts.size == 0:
-        return None
-    i = int(np.argmin(dist_t[contacts]))  # contacts ascend, ties -> lowest
-    v = int(contacts[i])
-    return v if dist_t[v] < dist_t[u] else None
+    elif contact is not None and \
+            (dist_t[contact], contact) < (d[i], int(nbrs[i])):
+        return contact, KIND_LONG
+    return int(nbrs[i]), KIND_LOCAL
 
 
 def route(graph: Graph, overlay: HighwayOverlay, source: int, target: int,
@@ -127,6 +136,7 @@ def route(graph: Graph, overlay: HighwayOverlay, source: int, target: int,
     is_hw = overlay.is_highway
     cur = source
     seen_highway = bool(is_hw[cur])
+    plain = variant == "plain"
     hop_cap = 4 * graph.n + 16
 
     if variant == "highway-aware" and not seen_highway:
@@ -141,45 +151,24 @@ def route(graph: Graph, overlay: HighwayOverlay, source: int, target: int,
     while cur != target:
         if len(trace.path) > hop_cap:
             raise RoutingError("walk exceeded the hop cap")
-        nxt = None
-        if is_hw[cur] and variant != "plain":
-            nxt = _best_improving_contact(overlay, dist_t, cur)
-            kind, phase = KIND_LONG, PHASE_ON_HIGHWAY
-        if nxt is None and variant == "plain" and is_hw[cur]:
-            # plain pools local and long-range candidates together
-            local = _best_improving_local(graph, dist_t, cur)
-            lr = _best_improving_contact(overlay, dist_t, cur)
-            if lr is not None and (dist_t[lr], lr) < (dist_t[local], local):
-                nxt, kind, phase = lr, KIND_LONG, PHASE_ON_HIGHWAY
-            else:
-                nxt, kind = local, KIND_LOCAL
-                phase = PHASE_TO_TARGET if seen_highway else PHASE_TO_HIGHWAY
-        if nxt is None:
-            # sticky and aware walks board the highway when they can
-            nxt = _best_improving_local(
-                graph, dist_t, cur, None if variant == "plain" else is_hw)
-            kind = KIND_LOCAL
-            phase = PHASE_TO_TARGET if seen_highway else PHASE_TO_HIGHWAY
-        cur = nxt
+        cur, kind = _next_hop(graph, overlay, dist_t, cur, plain)
         trace.path.append(cur)
         trace.edge_kinds.append(kind)
-        trace.phases.append(phase)
+        trace.phases.append(
+            PHASE_ON_HIGHWAY if kind == KIND_LONG
+            else PHASE_TO_TARGET if seen_highway else PHASE_TO_HIGHWAY)
         seen_highway = seen_highway or bool(is_hw[cur])
     return trace
 
 
 def route_batch(graph: Graph, overlay: HighwayOverlay,
                 pairs: Sequence[tuple[int, int]],
-                variant: str = "highway-sticky",
-                parallelism: int = 1) -> list[RoutingTrace]:
+                variant: str = "highway-sticky") -> list[RoutingTrace]:
     """Route every pair serially, results in input order.
 
-    ``parallelism`` is validated and otherwise ignored; it is kept for
-    compatibility. Routing is serial because the overlay's lazy caches
-    are single-threaded, and a thread pool measured slower than serial.
+    Routing is serial because the overlay's lazy caches are
+    single-threaded, and a thread pool measured slower than serial.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     return [route(graph, overlay, int(s), int(t), variant) for s, t in pairs]
 
 

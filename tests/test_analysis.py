@@ -40,7 +40,6 @@ def test_report_csv_golden(tmp_path):
                                 b"# n=64\n"
                                 b"# seed=3\n"
                                 b"a,b\r\n1,2.5\r\n3,4.0\r\n")
-    assert rep.default_filename("ring") == "exp_ring_64_3.csv"
 
 
 # -- far pairs -------------------------------------------------------------------

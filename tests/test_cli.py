@@ -105,17 +105,6 @@ def test_route_batch_threads_byte_identical(workdir, tmp_path):
     assert t1.read_bytes() == t8.read_bytes()
 
 
-def test_route_batch_env_thread_fallback(workdir, tmp_path, monkeypatch):
-    base = ["route-batch", "--graph", str(workdir / "torus8.txt"),
-            "--overlay", str(workdir / "torus8.ov"),
-            "--pairs", "20", "--seed", "4"]
-    explicit, env = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(base + ["--threads", "1", "--out", str(explicit)]) == 0
-    monkeypatch.setenv("FGSW_THREADS", "6")
-    assert main(base + ["--out", str(env)]) == 0
-    assert explicit.read_bytes() == env.read_bytes()
-
-
 def test_route_batch_rejects_threads_below_one(workdir, tmp_path):
     assert main(["route-batch", "--graph", str(workdir / "torus8.txt"),
                  "--overlay", str(workdir / "torus8.ov"), "--pairs", "5",
