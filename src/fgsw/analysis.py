@@ -17,9 +17,9 @@ import numpy as np
 from scipy import stats as sstats
 
 from . import __version__, rng
-from .graph import Graph, _bfs, _build_csr, ball_profile
+from .graph import BLOCK_CELLS, Graph, _bfs, _build_csr, ball_profile
 from .overlay import HighwayOverlay, OverlayParams, build_overlay
-from .routing import route
+from .routing import route_batch
 
 
 @dataclass
@@ -322,7 +322,7 @@ def estimate_diameter(graph: Graph, overlay: HighwayOverlay | None,
 
     ``exact`` evaluates every source (refused above ``exact_cap``
     nodes); ``sampled`` lower-bounds via sampled sources. Sources go to
-    the BFS kernel in blocks of about 2^16 distance cells.
+    the BFS kernel in blocks of about BLOCK_CELLS distance cells.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be exact or sampled")
@@ -332,7 +332,7 @@ def estimate_diameter(graph: Graph, overlay: HighwayOverlay | None,
     indptr, indices = _augmented_csr(graph, overlay)
     sources = (np.arange(graph.n) if mode == "exact"
                else _sample_nodes(graph.n, samples, seed, tag=5))
-    block = max(1, (1 << 16) // graph.n)
+    block = max(1, BLOCK_CELLS // graph.n)
     best = 0
     for i in range(0, len(sources), block):
         dist = _bfs(indptr, indices, graph.n, sources[i:i + block],
@@ -459,7 +459,8 @@ def sweep_clustering_exponent(graph: Graph, k: float, q: float,
     """
     if pairs < 1:
         raise ValueError("need at least one pair")
-    far = sample_far_pairs(graph, pairs, seed)
+    ends = [(src, dst) for src, dst, _ in sample_far_pairs(graph, pairs,
+                                                            seed)]
     report = StatReport(
         experiment="sweep_s",
         params={"n": graph.n, "k": k, "q": q, "pairs": pairs, "seed": seed,
@@ -468,8 +469,8 @@ def sweep_clustering_exponent(graph: Graph, k: float, q: float,
     for s in s_values:
         params = OverlayParams(k=k, q=q, s=float(s), seed=seed)
         overlay = build_overlay(graph, params, materialize=False)
-        hops = np.array([route(graph, overlay, src, dst, variant).hops
-                         for src, dst, _ in far], dtype=np.float64)
+        traces = route_batch(graph, overlay, ends, variant)
+        hops = np.array([t.hops for t in traces], dtype=np.float64)
         ci95 = 1.96 * hops.std(ddof=1) / math.sqrt(len(hops))
         report.rows.append((float(s), float(hops.mean()), float(ci95),
                             pairs, seed, pairs))

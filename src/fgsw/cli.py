@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Progress goes to stdout; data artifacts go to the files named by the
-flags. Exit codes: 0 success, 1 usage error, 2 data error. Routing is
-serial: ``--threads`` is accepted and ignored, and a value below 1 is a
-data error.
+flags. Exit codes: 0 success, 1 usage error, 2 data error. Routing
+runs on one thread: ``--threads`` is accepted and ignored, and a value
+below 1 is a data error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_THREADS_HELP = "accepted and ignored: routing is serial"
+_THREADS_HELP = "accepted and ignored: routing runs on one thread"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,26 +3,32 @@
 Hop distance is the only metric in the package. One BFS defines it:
 ``_bfs``, scipy's csgraph Dijkstra over unit-weight arcs, behind every
 distance row, ball, shell and diameter; components come from csgraph
-over the same arcs. ``Graph`` reads the metric through three entry
+over the same arcs. ``Graph`` reads the metric through four entry
 points: ``distance_row(u)`` for a full row, ``distances(u, targets)``
-for a subset and ``distance(u, v)`` for one pair. A graph whose CSR
-arrays equal those of a row-major lattice recognises itself as one,
-whatever built it (``gen_lattice``, ``Graph.load`` or ``from_edges``),
-and carries a coordinate hint that lets all three evaluate the same
-metric in closed form, the subset and pair ones without building a row
-(the equivalence is asserted by tests, not assumed); without a hint
-the subset and pair ones read a BFS row.
+for a subset, ``distance(u, v)`` for one pair and
+``distances_to(targets)`` for a lookup into a block of targets. A graph
+whose CSR arrays equal those of a row-major lattice recognises itself as
+one, whatever built it (``gen_lattice``, ``Graph.load`` or
+``from_edges``), and carries a coordinate hint that lets all four
+evaluate the same metric in closed form, all but the first without
+building a row (the equivalence is asserted by tests, not assumed);
+without a hint they read BFS rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csgraph, csr_array
 
 UNREACHABLE = -1
+
+# Distance cells one block of batched work may hold: the sources of one
+# diameter BFS call and the walks of one lockstep routing block are
+# sized from it.
+BLOCK_CELLS = 1 << 16
 
 
 class GraphFormatError(ValueError):
@@ -118,11 +124,12 @@ class Graph:
             self._coords = _lattice_coordinates(hint.dim, hint.side)
         return self._coords
 
-    def _lattice_distances(self, u: int, coords: np.ndarray) -> np.ndarray:
-        """Closed-form hop distance from u to the nodes whose coordinate
-        columns are ``coords`` (int32)."""
+    def _lattice_distances(self, a: np.ndarray, b: np.ndarray
+                           ) -> np.ndarray:
+        """Closed-form hop distance between the nodes whose coordinate
+        columns are ``a`` and ``b`` (int32, broadcast along axis 0)."""
         hint = self.lattice_hint
-        delta = np.abs(coords - self._coordinates()[:, u:u + 1])
+        delta = np.abs(a - b)
         if hint.wrap:
             np.minimum(delta, hint.side - delta, out=delta)
         return delta.sum(axis=0, dtype=np.int32)
@@ -131,15 +138,36 @@ class Graph:
         """Hop distance from u to every node (int32)."""
         if self.lattice_hint is None:
             return _bfs(self.indptr, self.indices, self.n, (u,))
-        return self._lattice_distances(u, self._coordinates())
+        coords = self._coordinates()
+        return self._lattice_distances(coords[:, u:u + 1], coords)
 
     def distances(self, u: int, targets: np.ndarray) -> np.ndarray:
         """Hop distance from u to each of ``targets``, in their order
         (int32)."""
         if self.lattice_hint is None:
             return self.distance_row(u)[targets]
-        return self._lattice_distances(
-            u, np.take(self._coordinates(), targets, axis=1))
+        coords = self._coordinates()
+        return self._lattice_distances(coords[:, u:u + 1],
+                                       np.take(coords, targets, axis=1))
+
+    def distances_to(self, targets: np.ndarray
+                     ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Lookup of hop distances to a block of targets.
+
+        ``lookup(i, nodes)`` is d(nodes, targets[i]) elementwise (int32),
+        for integer arrays ``i`` and ``nodes`` that broadcast together.
+        Without a lattice hint one BFS call builds a row per target, so
+        the block holds len(targets) * n cells.
+        """
+        targets = np.asarray(targets)
+        if self.lattice_hint is None:
+            rows = _bfs(self.indptr, self.indices, self.n, targets,
+                        min_only=False)
+            return lambda i, nodes: rows[i, nodes]
+        coords = self._coordinates()
+        ends = coords[:, targets]
+        return lambda i, nodes: self._lattice_distances(ends[:, i],
+                                                        coords[:, nodes])
 
     def distance(self, u: int, v: int) -> int:
         """Hop distance between u and v; the BFS fallback reads v's row."""

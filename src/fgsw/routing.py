@@ -22,6 +22,11 @@ distance to the target.
 
 Every hop is labeled with its edge kind (local / long-range) and phase
 (to-highway / on-highway / to-target).
+
+``route`` walks one pair hop by hop; its hop rule, ``_next_hop``, is the
+reference. ``route_batch`` applies the same rule to a whole batch in
+lockstep: every live walk of a block advances one hop per numpy step,
+and each of its traces equals ``route``'s for the same pair.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import BLOCK_CELLS, Graph
 from .overlay import HighwayOverlay
 
 VARIANTS = ("plain", "highway-sticky", "highway-aware")
@@ -42,6 +47,14 @@ KIND_LONG = "long-range"
 PHASE_TO_HIGHWAY = "to-highway"
 PHASE_ON_HIGHWAY = "on-highway"
 PHASE_TO_TARGET = "to-target"
+
+# labels by the codes route_batch stores in its int8 buffers: kind 1 is
+# long-range, phase 0/1/2 is to-highway/on-highway/to-target
+_KINDS = np.array([KIND_LOCAL, KIND_LONG], dtype=object)
+_PHASES = np.array([PHASE_TO_HIGHWAY, PHASE_ON_HIGHWAY, PHASE_TO_TARGET],
+                   dtype=object)
+
+_FAR = np.iinfo(np.int32).max  # beyond every hop distance
 
 TRACE_COLUMNS = ("pair_id", "source", "target", "variant", "hops",
                  "hops_to_highway", "hops_on_highway", "hops_to_target",
@@ -164,12 +177,182 @@ def route(graph: Graph, overlay: HighwayOverlay, source: int, target: int,
 def route_batch(graph: Graph, overlay: HighwayOverlay,
                 pairs: Sequence[tuple[int, int]],
                 variant: str = "highway-sticky") -> list[RoutingTrace]:
-    """Route every pair serially, results in input order.
+    """Route every pair; traces in input order, each equal to ``route``'s.
 
-    Routing is serial because the overlay's lazy caches are
-    single-threaded, and a thread pool measured slower than serial.
+    Walks advance in lockstep on one thread, one hop per numpy step, in
+    blocks whose step holds at most about BLOCK_CELLS candidate cells
+    (walks times neighbour and contact columns); without a lattice hint
+    a walk's target row counts n cells.
     """
-    return [route(graph, overlay, int(s), int(t), variant) for s, t in pairs]
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero((ends < 0) | (ends >= graph.n))
+    if bad.size:
+        raise ValueError(f"node {int(ends.flat[bad[0]])} out of range")
+    walks = _Lockstep(graph, overlay, variant)
+    traces: list[RoutingTrace] = []
+    while len(traces) < len(ends):
+        width = graph.n if graph.lattice_hint is None else walks.width
+        block = max(1, BLOCK_CELLS // width)
+        traces += walks.run(ends[len(traces):len(traces) + block])
+    return traces
+
+
+class _Lockstep:
+    """``_next_hop`` over a block of walks at once.
+
+    The neighbour table holds each node's neighbours in ascending order
+    and the contact table each highway node's contacts (row = rank in
+    ``highway_ids``), both padded with the row's own node, whose
+    distance never improves on the walk's. Contact rows are filled
+    through ``overlay.contacts`` when a walk first stands on their node.
+    """
+
+    def __init__(self, graph: Graph, overlay: HighwayOverlay, variant: str):
+        self.graph = graph
+        self.overlay = overlay
+        self.variant = variant
+        self.plain = variant == "plain"
+        self.is_hw = overlay.is_highway
+        self.nbrs = _neighbour_table(graph)
+        ids = overlay.highway_ids
+        self.contacts = np.repeat(ids[:, None],
+                                  overlay.params.draws_per_node, axis=1)
+        self.filled = np.zeros(ids.size, dtype=bool)
+        self.nearest = (overlay.nearest_highway()
+                        if variant == "highway-aware" else None)
+
+    @property
+    def width(self) -> int:
+        """Candidate columns of one walk's step."""
+        return self.nbrs.shape[1] + self.contacts.shape[1]
+
+    def _contact_rows(self, nodes: np.ndarray) -> np.ndarray:
+        ids = self.overlay.highway_ids
+        rank = np.searchsorted(ids, nodes)
+        for r in np.unique(rank[~self.filled[rank]]):
+            row = self.overlay.contacts(int(ids[r]))
+            extra = row.size - self.contacts.shape[1]
+            if extra > 0:
+                self.contacts = np.hstack(
+                    [self.contacts, np.repeat(ids[:, None], extra, axis=1)])
+            self.contacts[r, :row.size] = row
+            self.filled[r] = True
+        return self.contacts[rank]
+
+    def _step(self, dist, walk: np.ndarray, cur: np.ndarray,
+              d_cur: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(next node, its distance, long-range flag) of each walk."""
+        # the best contact (lowest id among the closest) where it
+        # improves, else the walk's own node at d_cur
+        best, d_best = cur.copy(), d_cur.copy()
+        on = self.is_hw[cur].nonzero()[0]
+        if on.size:
+            cand = self._contact_rows(cur[on])
+            d = dist(walk[on, None], cand)
+            pick = np.arange(on.size), d.argmin(axis=1)
+            d_pick = d[pick]
+            better = d_pick < d_cur[on]
+            best[on[better]] = cand[pick][better]
+            d_best[on[better]] = d_pick[better]
+        long = d_best < d_cur  # sticky and aware take it at once
+        local = np.arange(cur.size) if self.plain else (~long).nonzero()[0]
+        nxt, d_nxt = best, d_best
+        if local.size:
+            cand = self.nbrs[cur[local]]
+            d = dist(walk[local, None], cand)
+            i = d.argmin(axis=1)
+            rows = np.arange(local.size)
+            stuck = (d[rows, i] >= d_cur[local]).nonzero()[0]
+            if stuck.size:
+                raise RoutingError(
+                    f"no improving local move at node "
+                    f"{int(cur[local[stuck[0]]])} (connected graph should "
+                    f"always have one)")
+            if not self.plain:  # board the closest improving highway node
+                onto = self.is_hw[cand] & (d < d_cur[local, None])
+                j = np.where(onto, d, _FAR).argmin(axis=1)
+                i = np.where(onto[rows, j], j, i)
+            step, d_step = cand[rows, i], d[rows, i]
+            if self.plain:  # the contact only if smaller by (distance, id)
+                long = (d_best < d_step) | ((d_best == d_step)
+                                            & (best < step))
+                nxt = np.where(long, best, step)
+                d_nxt = np.where(long, d_best, d_step)
+            else:
+                nxt[local], d_nxt[local] = step, d_step
+        return nxt, d_nxt, long
+
+    def run(self, ends: np.ndarray) -> list[RoutingTrace]:
+        """Traces of one block of (source, target) rows."""
+        is_hw = self.is_hw
+        source, target = ends[:, 0], ends[:, 1]
+        dist = self.graph.distances_to(target)
+        walk = np.arange(len(ends))
+        dist_st = dist(walk, source)
+        # plain and sticky walks strictly approach the target; an aware
+        # walk first takes at most hw_dist(s) pointer hops
+        bound = dist_st.astype(np.int64)
+        if self.nearest is not None:
+            bound += 2 * self.nearest[0][source]
+        start = np.zeros(len(ends) + 1, dtype=np.int64)
+        np.cumsum(bound + 1, out=start[1:])
+        path = np.zeros(start[-1], dtype=np.int32)
+        kind = np.zeros(start[-1], dtype=np.int8)   # index into _KINDS
+        phase = np.zeros(start[-1], dtype=np.int8)  # index into _PHASES
+        path[start[:-1]] = source
+        size = np.ones(len(ends), dtype=np.int64)   # nodes on each path
+        cur = source.astype(np.int32)
+        seen = is_hw[cur]
+
+        def record(live, nxt, long, phases):
+            at = start[live] + size[live]
+            path[at] = nxt
+            kind[at] = long
+            phase[at] = phases
+            size[live] += 1
+            cur[live] = nxt
+
+        if self.nearest is not None:
+            next_hop = self.nearest[1]
+            live = np.flatnonzero(~seen & (cur != target))
+            while live.size:
+                nxt = next_hop[cur[live]]
+                record(live, nxt, False, 0)
+                live = live[(nxt != target[live]) & ~is_hw[nxt]]
+            seen = is_hw[cur]
+        d_cur = dist(walk, cur)
+        live = np.flatnonzero(d_cur > 0)
+        while live.size:
+            nxt, d_nxt, long = self._step(dist, live, cur[live], d_cur[live])
+            record(live, nxt, long, np.where(long, 1, 2 * seen[live]))
+            d_cur[live] = d_nxt
+            seen[live] |= is_hw[nxt]
+            live = live[d_nxt > 0]
+
+        path, kind, phase = (path.tolist(), _KINDS[kind].tolist(),
+                             _PHASES[phase].tolist())
+        return [RoutingTrace(source=s, target=t, variant=self.variant,
+                             path=path[a:a + k], edge_kinds=kind[a + 1:a + k],
+                             phases=phase[a + 1:a + k], dist_st=d)
+                for s, t, a, k, d in zip(source.tolist(), target.tolist(),
+                                         start.tolist(), size.tolist(),
+                                         dist_st.tolist())]
+
+
+def _neighbour_table(graph: Graph) -> np.ndarray:
+    """Neighbours of every node in ascending order, one row per node,
+    padded to the largest degree with the row's own node (int32)."""
+    degree = np.diff(graph.indptr)
+    width = int(degree.max())
+    if degree.min() == width:  # regular graph: the CSR indices as they are
+        return graph.indices.reshape(graph.n, width)
+    table = np.repeat(np.arange(graph.n, dtype=np.int32)[:, None], width,
+                      axis=1)
+    heads = np.repeat(np.arange(graph.n), degree)
+    table[heads, np.arange(heads.size) - graph.indptr[heads]] = graph.indices
+    return table
 
 
 def validate_trace(graph: Graph, overlay: HighwayOverlay,

@@ -214,6 +214,23 @@ def test_subset_and_pair_distances_match_rows():
             assert g.distance(np.int32(u), np.int64(0)) == row[0]
 
 
+def test_block_lookup_matches_rows():
+    lattices = [gen_lattice(1, 64), gen_lattice(2, 10, wrap=False),
+                gen_lattice(3, 6)]
+    for g in lattices + [without_hint(g) for g in lattices] \
+            + [gen_sierpinski(4)]:
+        stream = substream(19, g.n)
+        targets = stream.integers(0, g.n, size=7)
+        rows = np.stack([g.distance_row(int(t)) for t in targets])
+        lookup = g.distances_to(targets)
+        which = stream.integers(0, targets.size, size=(40, 1))
+        nodes = stream.integers(0, g.n, size=(40, 5))
+        got = lookup(which, nodes)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, rows[which, nodes])
+        assert np.array_equal(lookup(np.arange(7), targets), np.zeros(7))
+
+
 def test_multi_source_bfs_is_min_over_sources():
     g = random_connected_graph(60, 25, seed=3)
     sources = [4, 17, 58]

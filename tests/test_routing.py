@@ -6,7 +6,7 @@ import pytest
 from fgsw import (HighwayOverlay, OverlayParams, RoutingError, build_overlay,
                   gen_lattice, gen_sierpinski, route, route_batch,
                   validate_trace, write_trace_csv)
-from fgsw.graph import Graph
+from fgsw.graph import BLOCK_CELLS, Graph
 from fgsw.rng import substream
 
 VARIANTS = ("plain", "highway-sticky", "highway-aware")
@@ -245,6 +245,63 @@ def test_route_batch_rejects_bad_arguments():
     ov = overlay_with(g, [0, 4])
     with pytest.raises(ValueError, match="unknown variant"):
         route_batch(g, ov, [(0, 1)], variant="warp")
+    # the first bad node in pair order, as route would meet it
+    for pairs, bad in (([(0, 1), (2, 8), (9, 3)], 8),
+                       ([(0, 1), (-1, 9)], -1), ([(3, 3), (5, 12)], 12)):
+        with pytest.raises(ValueError, match=f"^node {bad} out of range$"):
+            route_batch(g, ov, pairs)
+
+
+def scalar_traces(g, ov, pairs, variant):
+    return [route(g, ov, s, t, variant) for s, t in pairs]
+
+
+def test_route_batch_equals_route_trace_by_trace():
+    # criterion 10's graph pool; lazy overlays are built twice so that
+    # batch and scalar each materialize their own contacts
+    graphs = [gen_lattice(1, 64), gen_lattice(1, 128), gen_lattice(2, 8),
+              gen_lattice(2, 12), gen_lattice(2, 16),
+              gen_lattice(2, 10, wrap=False), gen_sierpinski(4),
+              gen_sierpinski(5)]
+    for g in graphs:
+        pairs = random_pairs(g.n, 60, seed=g.n) + [(5, 5), (0, 1), (0, 1)]
+        for seed, eager in ((0, True), (1, False)):
+            params = OverlayParams(k=3, q=2, s=2, seed=seed)
+            for variant in VARIANTS:
+                got = route_batch(g, build_overlay(g, params, eager), pairs,
+                                  variant)
+                want = scalar_traces(g, build_overlay(g, params, eager),
+                                     pairs, variant)
+                assert got == want, (g.n, seed, eager, variant)
+
+
+def test_route_batch_spans_blocks_without_hint():
+    g = gen_sierpinski(7)
+    assert g.lattice_hint is None and 150 > 2 * (BLOCK_CELLS // g.n)
+    ov = build_overlay(g, OverlayParams(k=4, q=2, s=2, seed=3))
+    pairs = random_pairs(g.n, 150, seed=5)
+    for variant in VARIANTS:
+        assert route_batch(g, ov, pairs, variant) \
+            == scalar_traces(g, ov, pairs, variant)
+
+
+def test_route_batch_widens_for_long_loaded_contact_lists(tmp_path):
+    # round(q*k) = 1 draw per node, yet node 0 lists three contacts
+    g = gen_lattice(1, 16)
+    path = tmp_path / "ring.ov"
+    path.write_text("1 1 1 0 0 16\n"
+                    "h 0 z=1 : 5 10 12\n"
+                    "h 5 z=1 : 0\n"
+                    "h 10 z=1 : 5\n"
+                    "h 12 z=1 : 0 5\n")
+    ov = HighwayOverlay.load(g, path)
+    assert ov.params.draws_per_node == 1
+    pairs = [(s, t) for s in range(16) for t in range(16)]
+    for variant in VARIANTS:
+        got = route_batch(g, ov, pairs, variant)
+        assert got == scalar_traces(g, ov, pairs, variant)
+    # 10 and 12 tie toward 11; the lower id, in the third column, wins
+    assert route_batch(g, ov, [(0, 11)])[0].path == [0, 10, 11]
 
 
 def test_trace_csv_golden(tmp_path):
