@@ -21,6 +21,11 @@ from .graph import BLOCK_CELLS, Graph, _bfs, _build_csr, ball_profile
 from .overlay import HighwayOverlay, OverlayParams, build_overlay
 from .routing import route_batch
 
+RADIUS_PROBES = 8  # nodes whose eccentricities bound the sampled radius
+FAR_PAIR_TRIES = 100  # candidates drawn per far pair at most
+FRESH_THETA = 0.9  # fresh contacts are measured up to n^(theta/alpha)
+EXACT_DIAMETER_MAX_N = 20000  # larger graphs take the sampled mode
+
 
 @dataclass
 class StatReport:
@@ -58,17 +63,17 @@ def reference_eccentricity(graph: Graph) -> int:
 # -- far pairs ----------------------------------------------------------
 
 
-def sampled_radius(graph: Graph, seed: int, probes: int = 8) -> int:
-    """Radius estimate: smallest eccentricity among a few probe nodes."""
-    nodes = _sample_nodes(graph.n, probes, seed, tag=90)
+def sampled_radius(graph: Graph, seed: int) -> int:
+    """Radius estimate: smallest eccentricity of RADIUS_PROBES nodes."""
+    nodes = _sample_nodes(graph.n, RADIUS_PROBES, seed, tag=90)
     return int(min(graph.eccentricity(int(u)) for u in nodes))
 
 
-def sample_far_pairs(graph: Graph, count: int, seed: int,
-                     reject_cap: int = 100) -> list[tuple[int, int, int]]:
+def sample_far_pairs(graph: Graph, count: int, seed: int
+                     ) -> list[tuple[int, int, int]]:
     """Uniform (source, target) pairs with d >= half the sampled radius.
 
-    Each pair rejects up to ``reject_cap`` candidates, then keeps the
+    Each pair draws up to FAR_PAIR_TRIES candidates, then keeps the
     farthest seen. Returns (source, target, distance) triples.
     """
     threshold = 0.5 * sampled_radius(graph, seed)
@@ -76,7 +81,7 @@ def sample_far_pairs(graph: Graph, count: int, seed: int,
     for i in range(count):
         stream = rng.substream(seed, rng.DOMAIN_PAIRS, i)
         best = None
-        for _ in range(reject_cap):
+        for _ in range(FAR_PAIR_TRIES):
             s, t = stream.integers(0, graph.n, size=2)
             if s == t:
                 continue
@@ -256,16 +261,13 @@ def improvement_probability(graph: Graph, overlay: HighwayOverlay,
 
 def fresh_contact_probability(graph: Graph, overlay: HighwayOverlay,
                               radius: int, samples: int, alpha: float,
-                              seed: int, theta: float = 0.9) -> StatReport:
+                              seed: int) -> StatReport:
     """Chance that a fresh contact leaves B_radius(u), normalized by
-    ln n / (k * z(u)). Valid for radius <= n^(theta/alpha)."""
+    ln n / (k * z(u)). Valid for radius <= n^(FRESH_THETA/alpha)."""
     n, k = graph.n, overlay.params.k
-    if not 0 < theta < 1:
-        raise ValueError("theta must be in (0, 1)")
-    if radius > n ** (theta / alpha):
-        raise ValueError(
-            f"radius {radius} above n^(theta/alpha) = "
-            f"{n ** (theta / alpha):.1f}")
+    cap = n ** (FRESH_THETA / alpha)
+    if radius > cap:
+        raise ValueError(f"radius {radius} above n^(theta/alpha) = {cap:.1f}")
     hw = overlay.highway_ids
     stream = rng.substream(seed, rng.DOMAIN_SAMPLES, 4)
     nodes = hw[stream.integers(0, hw.size, size=samples)]
@@ -281,7 +283,7 @@ def fresh_contact_probability(graph: Graph, overlay: HighwayOverlay,
     report = StatReport(
         experiment="fresh_contact",
         params={"n": n, "k": k, "q": overlay.params.q, "s": overlay.params.s,
-                "alpha": alpha, "radius": radius, "theta": theta,
+                "alpha": alpha, "radius": radius, "theta": FRESH_THETA,
                 "seed": seed, "samples": samples},
         columns=("radius", "empirical_p", "normalized", "seed", "samples"))
     report.rows.append((radius, float(np.mean(outside)),
@@ -316,19 +318,18 @@ def _augmented_csr(graph: Graph, overlay: HighwayOverlay | None
 
 def estimate_diameter(graph: Graph, overlay: HighwayOverlay | None,
                       mode: str = "exact", samples: int = 64,
-                      seed: int = 0, exact_cap: int = 20000
-                      ) -> DiameterResult:
+                      seed: int = 0) -> DiameterResult:
     """Directed diameter of the graph augmented with long-range contacts.
 
-    ``exact`` evaluates every source (refused above ``exact_cap``
+    ``exact`` evaluates every source (refused above EXACT_DIAMETER_MAX_N
     nodes); ``sampled`` lower-bounds via sampled sources. Sources go to
     the BFS kernel in blocks of about BLOCK_CELLS distance cells.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be exact or sampled")
-    if mode == "exact" and graph.n > exact_cap:
-        raise ValueError(
-            f"exact diameter needs n <= {exact_cap}, got {graph.n}")
+    if mode == "exact" and graph.n > EXACT_DIAMETER_MAX_N:
+        raise ValueError(f"exact diameter needs n <= "
+                         f"{EXACT_DIAMETER_MAX_N}, got {graph.n}")
     indptr, indices = _augmented_csr(graph, overlay)
     sources = (np.arange(graph.n) if mode == "exact"
                else _sample_nodes(graph.n, samples, seed, tag=5))

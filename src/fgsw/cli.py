@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=2.0,
                    help="growth dimension used in the scale terms")
     p.add_argument("--c", type=float, default=2.0,
-                   help="radius factor (balls) / improvement factors start")
+                   help="radius factor (balls)")
     p.add_argument("--c-list", default="2,4,8,16",
                    help="improvement factors (improve)")
     p.add_argument("--width", type=int, default=4, help="shell width")

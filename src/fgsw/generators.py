@@ -12,15 +12,14 @@ from .graph import (Graph, GraphFormatError, _build_csr, _components,
 
 log = logging.getLogger(__name__)
 
-DEFAULT_NODE_BUDGET = 2_000_000
+NODE_BUDGET = 2_000_000  # largest graph either generator builds
 
 
-def gen_lattice(dim: int, side: int, wrap: bool = True,
-                node_budget: int = DEFAULT_NODE_BUDGET) -> Graph:
+def gen_lattice(dim: int, side: int, wrap: bool = True) -> Graph:
     """d-dimensional lattice with side nodes per axis, row-major ids.
 
-    Wrapped lattices are vertex-transitive tori of degree 2*dim; the
-    unwrapped variant loses edges at the boundary.
+    Wrapped lattices are vertex-transitive tori of degree 2*dim, the
+    unwrapped ones lose edges at the boundary; n <= NODE_BUDGET.
     """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
@@ -28,28 +27,27 @@ def gen_lattice(dim: int, side: int, wrap: bool = True,
     if side < min_side:
         raise ValueError(f"side must be >= {min_side} for wrap={wrap}")
     n = side ** dim
-    if n > node_budget:
+    if n > NODE_BUDGET:
         raise ValueError(
-            f"side^dim = {n} exceeds the node budget of {node_budget}")
+            f"side^dim = {n} exceeds the node budget of {NODE_BUDGET}")
     return Graph(n, *_lattice_csr(dim, side, wrap))
 
 
-def gen_sierpinski(level: int,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> Graph:
+def gen_sierpinski(level: int) -> Graph:
     """Sierpinski gasket graph of the given level.
 
     Level 1 is a triangle; each next level glues three copies pairwise
     at corner nodes. Copies are ordered and glued corners take the
     lowest id, so numbering is deterministic. n_L = (3^L + 3)/2,
-    m_L = 3^L.
+    m_L = 3^L; levels over NODE_BUDGET nodes are refused.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     final_n = (3 ** level + 3) // 2
-    if final_n > node_budget:
+    if final_n > NODE_BUDGET:
         raise ValueError(
             f"level {level} needs {final_n} nodes, over the budget "
-            f"of {node_budget}")
+            f"of {NODE_BUDGET}")
     edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
     corners = np.array([0, 1, 2], dtype=np.int64)
     n = 3

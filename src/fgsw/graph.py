@@ -213,6 +213,9 @@ class Graph:
             n, m = int(head[0]), int(head[1])
         except ValueError as exc:
             raise GraphFormatError(f"{path}: non-integer header") from exc
+        if m < n - 1:  # checked before any array of n cells is built
+            raise GraphFormatError(
+                f"{path}: header's {m} edges cannot connect {n} nodes")
         if len(lines) - 1 != m:
             raise GraphFormatError(
                 f"{path}: header promises {m} edges, file has {len(lines) - 1}")
@@ -223,9 +226,10 @@ class Graph:
                 raise GraphFormatError(f"{path}: bad edge line {i + 2}")
             try:
                 edges[i, 0], edges[i, 1] = int(parts[0]), int(parts[1])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise GraphFormatError(
-                    f"{path}: non-integer edge line {i + 2}") from exc
+                    f"{path}: non-integer or out-of-range edge line "
+                    f"{i + 2}") from exc
         return cls.from_edges(n, edges)
 
 

@@ -11,6 +11,7 @@ order is identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ class OverlayParams:
     seed: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.q * self.k) and math.isfinite(self.s)):
+            raise OverlayError("k, q, q*k and s must be finite")
         if not self.k >= 1:
             raise OverlayError("k must be >= 1")
         if not self.q > 0:
@@ -98,17 +101,22 @@ class HighwayOverlay:
         d = self.graph.distances(u, targets).astype(np.float64)
         return targets, np.cumsum(d ** -self.params.s)
 
+    def _draw(self, u: int, count: int, *path: int
+              ) -> tuple[float, np.ndarray]:
+        """z(u) and ``count`` draws from u's law on substream ``path``."""
+        targets, cum = self._weight_cumsum(u)
+        z = float(cum[-1])
+        stream = rng.substream(self.params.seed, *path)
+        idx = np.searchsorted(cum, stream.random(count) * z, side="right")
+        np.minimum(idx, cum.size - 1, out=idx)
+        return z, targets[idx]
+
     def _materialize(self, u: int) -> tuple[float, np.ndarray]:
         entry = self._cache.get(u)
         if entry is None:
-            targets, cum = self._weight_cumsum(u)
-            z = float(cum[-1])
-            stream = rng.substream(self.params.seed, rng.DOMAIN_CONTACTS,
-                                   self.epoch, u)
-            draws = stream.random(self.params.draws_per_node)
-            idx = np.searchsorted(cum, draws * z, side="right")
-            np.minimum(idx, cum.size - 1, out=idx)
-            entry = (z, np.unique(targets[idx]))
+            z, drawn = self._draw(u, self.params.draws_per_node,
+                                  rng.DOMAIN_CONTACTS, self.epoch, u)
+            entry = (z, np.unique(drawn))
             self._cache[u] = entry
         return entry
 
@@ -142,13 +150,7 @@ class HighwayOverlay:
         """Fresh draws from u's contact law (for statistics; does not
         touch the overlay's own contact lists)."""
         self._require_highway(u)
-        targets, cum = self._weight_cumsum(u)
-        stream = rng.substream(self.params.seed, rng.DOMAIN_REDRAW,
-                               self.epoch, u, tag)
-        idx = np.searchsorted(cum, stream.random(count) * float(cum[-1]),
-                              side="right")
-        np.minimum(idx, cum.size - 1, out=idx)
-        return targets[idx]
+        return self._draw(u, count, rng.DOMAIN_REDRAW, self.epoch, u, tag)[1]
 
     def materialize_all(self) -> None:
         for u in self.highway_ids:
@@ -185,7 +187,8 @@ class HighwayOverlay:
 
     def save(self, path) -> None:
         """Text format: `k q s seed epoch n` header, then one
-        `h <id> z=<z> : t1 t2 ...` line per highway node, ascending."""
+        `h <id> z=<z> : t1 t2 ...` line per highway node, ascending; a
+        line holds at most round(q*k) contacts."""
         p = self.params
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"{p.k:.17g} {p.q:.17g} {p.s:.17g} {p.seed} "
@@ -226,20 +229,21 @@ class HighwayOverlay:
                 z = float(parts[2][2:])
                 contacts = np.array([int(t) for t in parts[4:]],
                                     dtype=np.int32)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise OverlayError(f"{path}:{lineno}: malformed values") from exc
             if not 0 <= u < n:
                 raise OverlayError(f"{path}:{lineno}: node {u} out of range")
-            if contacts.size and not (0 <= contacts.min()
-                                      and contacts.max() < n):
-                raise OverlayError(
-                    f"{path}:{lineno}: contact id out of range")
+            if contacts.size == 0:
+                raise OverlayError(f"{path}:{lineno}: no contacts")
+            if contacts.min() < 0 or contacts.max() >= n:
+                raise OverlayError(f"{path}:{lineno}: contact id out of range")
+            if contacts.size > params.draws_per_node:
+                raise OverlayError(f"{path}:{lineno}: more than round(q*k) = "
+                                   f"{params.draws_per_node} contacts")
             if u <= prev:
                 raise OverlayError(f"{path}:{lineno}: ids must be ascending")
             if not (np.isfinite(z) and z > 0):
                 raise OverlayError(f"{path}:{lineno}: bad z value")
-            if contacts.size == 0:
-                raise OverlayError(f"{path}:{lineno}: no contacts")
             prev = u
             is_highway[u] = True
             parsed.append((u, z, contacts))
@@ -247,8 +251,8 @@ class HighwayOverlay:
             raise OverlayError(f"{path}: fewer than 2 highway nodes")
         overlay = cls(graph, params, is_highway, epoch)
         for u, z, contacts in parsed:
-            bad = contacts[~is_highway[contacts]] if contacts.size else []
-            if len(bad):
+            bad = contacts[~is_highway[contacts]]
+            if bad.size:
                 raise OverlayError(
                     f"{path}: node {u} has non-highway contact {int(bad[0])}")
             if np.any(contacts == u) or np.any(np.diff(contacts) <= 0):

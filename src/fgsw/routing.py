@@ -191,12 +191,11 @@ def route_batch(graph: Graph, overlay: HighwayOverlay,
     if bad.size:
         raise ValueError(f"node {int(ends.flat[bad[0]])} out of range")
     walks = _Lockstep(graph, overlay, variant)
-    traces: list[RoutingTrace] = []
-    while len(traces) < len(ends):
-        width = graph.n if graph.lattice_hint is None else walks.width
-        block = max(1, BLOCK_CELLS // width)
-        traces += walks.run(ends[len(traces):len(traces) + block])
-    return traces
+    width = graph.n if graph.lattice_hint is None \
+        else walks.nbrs.shape[1] + walks.contacts.shape[1]
+    block = max(1, BLOCK_CELLS // width)
+    return [trace for i in range(0, len(ends), block)
+            for trace in walks.run(ends[i:i + block])]
 
 
 class _Lockstep:
@@ -205,8 +204,10 @@ class _Lockstep:
     The neighbour table holds each node's neighbours in ascending order
     and the contact table each highway node's contacts (row = rank in
     ``highway_ids``), both padded with the row's own node, whose
-    distance never improves on the walk's. Contact rows are filled
-    through ``overlay.contacts`` when a walk first stands on their node.
+    distance never improves on the walk's. A contact list holds at most
+    min(round(q*k), |H| - 1) distinct nodes, the contact table's fixed
+    width. Contact rows are filled through ``overlay.contacts`` when a
+    walk first stands on their node.
     """
 
     def __init__(self, graph: Graph, overlay: HighwayOverlay, variant: str):
@@ -217,26 +218,17 @@ class _Lockstep:
         self.is_hw = overlay.is_highway
         self.nbrs = _neighbour_table(graph)
         ids = overlay.highway_ids
-        self.contacts = np.repeat(ids[:, None],
-                                  overlay.params.draws_per_node, axis=1)
+        width = min(overlay.params.draws_per_node, ids.size - 1)
+        self.contacts = np.repeat(ids[:, None], width, axis=1)
         self.filled = np.zeros(ids.size, dtype=bool)
         self.nearest = (overlay.nearest_highway()
                         if variant == "highway-aware" else None)
-
-    @property
-    def width(self) -> int:
-        """Candidate columns of one walk's step."""
-        return self.nbrs.shape[1] + self.contacts.shape[1]
 
     def _contact_rows(self, nodes: np.ndarray) -> np.ndarray:
         ids = self.overlay.highway_ids
         rank = np.searchsorted(ids, nodes)
         for r in np.unique(rank[~self.filled[rank]]):
             row = self.overlay.contacts(int(ids[r]))
-            extra = row.size - self.contacts.shape[1]
-            if extra > 0:
-                self.contacts = np.hstack(
-                    [self.contacts, np.repeat(ids[:, None], extra, axis=1)])
             self.contacts[r, :row.size] = row
             self.filled[r] = True
         return self.contacts[rank]

@@ -240,6 +240,10 @@ def test_data_errors_exit_2(workdir, tmp_path, capsys):
     assert main(["augment", "--graph", str(tmp_path / "absent.txt"),
                  "--k", "2", "--q", "1", "--s", "2", "--seed", "1",
                  "--out", str(tmp_path / "o.ov")]) == 2
+    # non-finite overlay parameter
+    assert main(["augment", "--graph", str(workdir / "torus8.txt"),
+                 "--k", "2", "--q", "inf", "--s", "2", "--seed", "1",
+                 "--out", str(tmp_path / "o.ov")]) == 2
     # invalid generator arguments
     assert main(["gen-lattice", "--dim", "5", "--side", "4",
                  "--out", str(tmp_path / "g.txt")]) == 2

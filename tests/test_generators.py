@@ -68,7 +68,7 @@ def test_lattice_rejects_small_side():
 
 def test_lattice_rejects_over_budget():
     with pytest.raises(ValueError, match="node budget"):
-        gen_lattice(3, 200, node_budget=1_000_000)
+        gen_lattice(3, 200)  # 8,000,000 nodes
 
 
 # -- Sierpinski gasket --------------------------------------------------------
@@ -108,7 +108,7 @@ def test_sierpinski_rejects_bad_level():
 
 def test_sierpinski_rejects_over_budget():
     with pytest.raises(ValueError, match="budget"):
-        gen_sierpinski(9, node_budget=5000)  # level 9 needs 9843 nodes
+        gen_sierpinski(14)  # level 14 needs 2,391,486 nodes
 
 
 # -- DIMACS import -------------------------------------------------------------

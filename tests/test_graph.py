@@ -364,9 +364,13 @@ def test_saved_lattice_loads_with_its_hint(tmp_path, dim, side, wrap):
 
 def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.txt"
-    p.write_text("3\n0 1\n1 2\n")
-    with pytest.raises(GraphFormatError, match="header"):
-        Graph.load(p)
+    # m < n - 1 cannot describe a connected graph; rejected before any
+    # array of n cells is built
+    for text, msg in (("3\n0 1\n1 2\n", "header"),
+                      ("99999999999 1\n0 1\n", "cannot connect 99999999999")):
+        p.write_text(text)
+        with pytest.raises(GraphFormatError, match=msg):
+            Graph.load(p)
 
 
 def test_load_rejects_edge_count_mismatch(tmp_path):
@@ -378,6 +382,7 @@ def test_load_rejects_edge_count_mismatch(tmp_path):
 
 def test_load_rejects_non_integer_edge(tmp_path):
     p = tmp_path / "bad.txt"
-    p.write_text("3 2\n0 1\n1 x\n")
-    with pytest.raises(GraphFormatError, match="non-integer"):
-        Graph.load(p)
+    for text in ("3 2\n0 1\n1 x\n", "3 2\n0 1\n1 9223372036854775808\n"):
+        p.write_text(text)
+        with pytest.raises(GraphFormatError, match="non-integer"):
+            Graph.load(p)

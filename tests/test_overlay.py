@@ -28,6 +28,10 @@ def test_params_validation():
         OverlayParams(k=2, q=1, s=-1, seed=0)
     with pytest.raises(OverlayError, match="round\\(q\\*k\\) must be >= 1"):
         OverlayParams(k=1, q=0.4, s=1, seed=0)
+    for k, q, s in ((np.inf, 1, 1), (2, np.inf, 1), (1e200, 1e200, 1),
+                    (2, 1, np.inf), (np.nan, 1, 1)):
+        with pytest.raises(OverlayError, match="must be finite"):
+            OverlayParams(k=k, q=q, s=s, seed=0)
 
 
 def test_draws_per_node_rounds_half_up():
@@ -298,10 +302,15 @@ def test_load_minimal_valid_file(tmp_path):
     ("x 1 1 0 0 3\nh 0 z=0.5 : 2\n", "malformed header"),
     ("2 1 1 0 0 4\nh 0 z=0.5 : 2\n", "overlay is for n=4"),
     ("0.5 1 1 0 0 3\nh 0 z=0.5 : 2\n", "k must be >= 1"),
+    ("inf 2 1 0 0 3\nh 0 z=0.5 : 2\n", "must be finite"),
     ("2 1 1 0 0 3\nh 0 z=0.5 2\nh 2 z=0.5 : 0\n", "malformed highway line"),
     ("2 1 1 0 0 3\nh 0 z=abc : 2\nh 2 z=0.5 : 0\n", "malformed values"),
     ("2 1 1 0 0 3\nh 5 z=0.5 : 2\nh 2 z=0.5 : 0\n", "out of range"),
     ("2 1 1 0 0 3\nh 0 z=0.5 : 7\nh 2 z=0.5 : 0\n", "contact id out of range"),
+    ("2 1 1 0 0 3\nh 0 z=0.5 : 2147483648\nh 2 z=0.5 : 0\n",
+     "malformed values"),
+    ("1 1 1 0 0 3\nh 0 z=0.5 : 1 2\nh 1 z=0.5 : 0\nh 2 z=0.5 : 0\n",
+     "ov.txt:2: more than round\\(q\\*k\\) = 1 contacts"),
     ("2 1 1 0 0 3\nh 2 z=0.5 : 0\nh 0 z=0.5 : 2\n", "ascending"),
     ("2 1 1 0 0 3\nh 0 z=0 : 2\nh 2 z=0.5 : 0\n", "bad z value"),
     ("2 1 1 0 0 3\nh 0 z=0.5 :\nh 2 z=0.5 : 0\n", "no contacts"),

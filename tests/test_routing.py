@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fgsw import (HighwayOverlay, OverlayParams, RoutingError, build_overlay,
-                  gen_lattice, gen_sierpinski, route, route_batch,
-                  validate_trace, write_trace_csv)
+from fgsw import (HighwayOverlay, OverlayError, OverlayParams, RoutingError,
+                  build_overlay, gen_lattice, gen_sierpinski, route,
+                  route_batch, validate_trace, write_trace_csv)
 from fgsw.graph import BLOCK_CELLS, Graph
 from fgsw.rng import substream
 
@@ -285,23 +285,47 @@ def test_route_batch_spans_blocks_without_hint():
             == scalar_traces(g, ov, pairs, variant)
 
 
-def test_route_batch_widens_for_long_loaded_contact_lists(tmp_path):
-    # round(q*k) = 1 draw per node, yet node 0 lists three contacts
+RING16_CONTACTS = ("h 0 z=1 : 5 10 12\n"
+                   "h 5 z=1 : 0\n"
+                   "h 10 z=1 : 5\n"
+                   "h 12 z=1 : 0 5\n")
+
+
+def load_ring16(tmp_path, header):
     g = gen_lattice(1, 16)
     path = tmp_path / "ring.ov"
-    path.write_text("1 1 1 0 0 16\n"
-                    "h 0 z=1 : 5 10 12\n"
-                    "h 5 z=1 : 0\n"
-                    "h 10 z=1 : 5\n"
-                    "h 12 z=1 : 0 5\n")
-    ov = HighwayOverlay.load(g, path)
-    assert ov.params.draws_per_node == 1
+    path.write_text(header + RING16_CONTACTS)
+    return g, HighwayOverlay.load(g, path)
+
+
+def test_route_batch_breaks_loaded_contact_ties_to_lowest_id(tmp_path):
+    # round(q*k) = 3 draws per node; node 0 lists three contacts
+    g, ov = load_ring16(tmp_path, "1 3 1 0 0 16\n")
+    assert ov.params.draws_per_node == 3
     pairs = [(s, t) for s in range(16) for t in range(16)]
     for variant in VARIANTS:
         got = route_batch(g, ov, pairs, variant)
         assert got == scalar_traces(g, ov, pairs, variant)
-    # 10 and 12 tie toward 11; the lower id, in the third column, wins
+    # 10 and 12 tie toward 11; the lower id wins
     assert route_batch(g, ov, [(0, 11)])[0].path == [0, 10, 11]
+
+
+def test_load_rejects_contact_lists_over_round_qk(tmp_path):
+    # round(q*k) = 1 draw per node, yet node 0 lists three contacts
+    with pytest.raises(OverlayError, match=r":2: more than round\(q\*k\)"):
+        load_ring16(tmp_path, "1 1 1 0 0 16\n")
+
+
+def test_route_batch_on_a_huge_round_qk_header(tmp_path):
+    # round(q*k) = 1e12 draws, but two highway nodes leave one contact
+    g = gen_lattice(1, 3, wrap=False)
+    path = tmp_path / "huge.ov"
+    path.write_text("1e12 1 1 0 0 3\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0\n")
+    ov = HighwayOverlay.load(g, path)
+    pairs = [(s, t) for s in range(3) for t in range(3)]
+    for variant in VARIANTS:
+        assert route_batch(g, ov, pairs, variant) \
+            == scalar_traces(g, ov, pairs, variant)
 
 
 def test_trace_csv_golden(tmp_path):
