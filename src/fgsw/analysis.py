@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from . import __version__, rng
-from .graph import BLOCK_CELLS, Graph, _bfs, _build_csr, ball_profile
+from .graph import Graph, _build_csr, _max_eccentricity, ball_profile
 from .overlay import HighwayOverlay, OverlayParams, build_overlay
 from .routing import route_batch
 
@@ -322,8 +322,10 @@ def estimate_diameter(graph: Graph, overlay: HighwayOverlay | None,
     """Directed diameter of the graph augmented with long-range contacts.
 
     ``exact`` evaluates every source (refused above EXACT_DIAMETER_MAX_N
-    nodes); ``sampled`` lower-bounds via sampled sources. Sources go to
-    the BFS kernel in blocks of about BLOCK_CELLS distance cells.
+    nodes); ``sampled`` lower-bounds via sampled sources. Both take the
+    largest eccentricity from the bit-parallel multi-source BFS kernel
+    ``_max_eccentricity``, whose blocks of 64*W sources keep each
+    level's (arcs, W) gather within BLOCK_CELLS words.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be exact or sampled")
@@ -333,14 +335,7 @@ def estimate_diameter(graph: Graph, overlay: HighwayOverlay | None,
     indptr, indices = _augmented_csr(graph, overlay)
     sources = (np.arange(graph.n) if mode == "exact"
                else _sample_nodes(graph.n, samples, seed, tag=5))
-    block = max(1, BLOCK_CELLS // graph.n)
-    best = 0
-    for i in range(0, len(sources), block):
-        dist = _bfs(indptr, indices, graph.n, sources[i:i + block],
-                    min_only=False)
-        if dist.min() < 0:
-            raise ValueError("augmented graph is not strongly connected")
-        best = max(best, int(dist.max()))
+    best = _max_eccentricity(indptr, indices, graph.n, sources)
     return DiameterResult(value=best, mode=mode,
                           sources_evaluated=len(sources))
 

@@ -132,19 +132,23 @@ def import_dimacs(path) -> DimacsImport:
     if not heads:
         raise GraphFormatError(f"{path}: no arcs")
 
-    h = np.asarray(heads, dtype=np.int64)
-    t = np.asarray(tails, dtype=np.int64)
+    # every array is sized from the distinct endpoints (at most two per
+    # arc), not from the declared n: a declared node without arcs is a
+    # singleton and loses to any edge's component
+    ids, ends = np.unique(np.asarray(heads + tails, dtype=np.int64),
+                          return_inverse=True)
+    n_ids = ids.size
+    h, t = ends[:len(heads)], ends[len(heads):]
     lo = np.minimum(h, t)
     hi = np.maximum(h, t)
-    key = np.unique(lo * n_decl + hi)
-    lo, hi = key // n_decl, key % n_decl
+    key = np.unique(lo * n_ids + hi)
+    lo, hi = key // n_ids, key % n_ids
 
     # keep the largest component; on a size tie, the one holding the
-    # lowest node id (isolated declared nodes are singletons and lose to
-    # any edge's component)
-    indptr, indices = _build_csr(n_decl, np.concatenate([lo, hi]),
+    # lowest node id (ids ascend, so their order is the file's)
+    indptr, indices = _build_csr(n_ids, np.concatenate([lo, hi]),
                                  np.concatenate([hi, lo]))
-    comp = _components(indptr, indices, n_decl)[1]
+    comp = _components(indptr, indices, n_ids)[1]
     sizes = np.bincount(comp)
     best = comp[np.flatnonzero(sizes[comp] == sizes.max())[0]]
     keep = np.flatnonzero(comp == best)
@@ -153,10 +157,10 @@ def import_dimacs(path) -> DimacsImport:
         log.warning("%s: kept largest component (%d nodes), dropped %d",
                     path, keep.size, dropped)
 
-    dense = np.full(n_decl, -1, dtype=np.int64)
+    dense = np.full(n_ids, -1, dtype=np.int64)
     dense[keep] = np.arange(keep.size)
     mask = comp[lo] == best
     edges = np.stack([dense[lo[mask]], dense[hi[mask]]], axis=1)
     graph = Graph.from_edges(int(keep.size), edges)
-    return DimacsImport(graph=graph, original_ids=keep + 1,
+    return DimacsImport(graph=graph, original_ids=ids[keep] + 1,
                         file_nodes=n_decl, dropped_nodes=dropped)

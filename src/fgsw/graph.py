@@ -2,17 +2,19 @@
 
 Hop distance is the only metric in the package. One BFS defines it:
 ``_bfs``, scipy's csgraph Dijkstra over unit-weight arcs, behind every
-distance row, ball, shell and diameter; components come from csgraph
-over the same arcs. ``Graph`` reads the metric through four entry
-points: ``distance_row(u)`` for a full row, ``distances(u, targets)``
-for a subset, ``distance(u, v)`` for one pair and
-``distances_to(targets)`` for a lookup into a block of targets. A graph
-whose CSR arrays equal those of a row-major lattice recognises itself as
-one, whatever built it (``gen_lattice``, ``Graph.load`` or
-``from_edges``), and carries a coordinate hint that lets all four
-evaluate the same metric in closed form, all but the first without
-building a row (the equivalence is asserted by tests, not assumed);
-without a hint they read BFS rows.
+distance row, ball and shell; components come from csgraph over the
+same arcs. Diameters need only the largest distance, so
+``_max_eccentricity`` finds it by bit-parallel multi-source BFS over
+the same arcs without building rows. ``Graph`` reads the metric through
+four entry points: ``distance_row(u)`` for a full row,
+``distances(u, targets)`` for a subset, ``distance(u, v)`` for one pair
+and ``distances_to(targets)`` for a lookup into a block of targets. A
+graph whose CSR arrays equal those of a row-major lattice recognises
+itself as one, whatever built it (``gen_lattice``, ``Graph.load`` or
+``from_edges``), and carries a coordinate hint that lets all four, and
+``eccentricity(u)``, evaluate the same metric in closed form, all but
+the first without building a row (the equivalence is asserted by
+tests, not assumed); without a hint they read BFS rows.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from scipy.sparse import csgraph, csr_array
 
 UNREACHABLE = -1
 
-# Distance cells one block of batched work may hold: the sources of one
-# diameter BFS call and the walks of one lockstep routing block are
-# sized from it.
+# Cells one block of batched work may hold: the (arcs, words) gather of
+# one diameter BFS level and the walks of one lockstep routing block
+# are sized from it.
 BLOCK_CELLS = 1 << 16
 
 
@@ -183,7 +185,19 @@ class Graph:
         return total
 
     def eccentricity(self, u: int) -> int:
-        return int(self.distance_row(u).max())
+        """Largest hop distance from u; closed form on a lattice, where
+        each axis contributes side // 2 when wrapped and u's distance to
+        the farther end otherwise."""
+        hint = self.lattice_hint
+        if hint is None:
+            return int(self.distance_row(u).max())
+        if hint.wrap:
+            return hint.dim * (hint.side // 2)
+        u, total = int(u), 0
+        for _ in range(hint.dim):
+            u, c = divmod(u, hint.side)
+            total += max(c, hint.side - 1 - c)
+        return total
 
     # -- text format ----------------------------------------------------
 
@@ -327,6 +341,56 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray, n: int,
                             limit=np.inf if cutoff is None else cutoff)
     dist[np.isinf(dist)] = UNREACHABLE
     return dist.astype(np.int32)
+
+
+def _max_eccentricity(indptr: np.ndarray, indices: np.ndarray, n: int,
+                      sources: Sequence[int]) -> int:
+    """Largest eccentricity of ``sources`` along the directed arcs of a
+    CSR graph, by bit-parallel multi-source BFS (MS-BFS: Then et al.,
+    "The More the Merrier", PVLDB 8(4), 2014).
+
+    Sources go in blocks of 64*W, and every node holds one bit per
+    source of the block in W uint64 words. A level pulls its frontier
+    over the in-arcs with one ``bitwise_or.reduceat``; the number of
+    levels until no bit is new is the block's largest eccentricity. W is
+    the largest word count (at least 1, at most the sources need) whose
+    (arcs, W) gather stays within BLOCK_CELLS words. Raises
+    ValueError when a node misses a source, i.e. the arcs are not
+    strongly connected.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    in_ptr, in_idx = _build_csr(n, indices.astype(np.int64), heads)
+    in_idx = in_idx.astype(np.intp)  # np.take converts other dtypes per call
+    # reduceat misreads empty segments, so only nodes with an in-arc
+    # take part in a level; the others are reached only as sources
+    has_in = in_ptr[1:] > in_ptr[:-1]
+    starts = in_ptr[:-1][has_in]
+    words = max(1, min(BLOCK_CELLS // max(1, in_idx.size),
+                       -(-sources.size // 64)))
+    best = 0
+    for lo in range(0, sources.size, 64 * words):
+        block = sources[lo:lo + 64 * words]
+        bit = np.arange(block.size)
+        mask = np.uint64(1) << (bit % 64).astype(np.uint64)
+        seen = np.zeros((n, words), dtype=np.uint64)
+        np.bitwise_or.at(seen, (block, bit // 64), mask)
+        full = np.bitwise_or.reduce(seen, axis=0)
+        frontier = seen
+        level = 0
+        while starts.size:
+            reached = np.zeros_like(seen)
+            reached[has_in] = np.bitwise_or.reduceat(
+                np.take(frontier, in_idx, axis=0), starts, axis=0)
+            frontier = reached & ~seen
+            if not frontier.any():
+                break
+            seen = seen | frontier
+            level += 1
+        if not (seen == full).all():
+            raise ValueError("augmented graph is not strongly connected")
+        best = max(best, level)
+    return best
 
 
 def _components(indptr: np.ndarray, indices: np.ndarray, n: int

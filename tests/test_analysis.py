@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgsw import (Graph, HighwayOverlay, OverlayParams, StatReport, ball,
                   ball_highway_stats, build_overlay, estimate_alpha,
@@ -13,7 +14,9 @@ from fgsw import (Graph, HighwayOverlay, OverlayParams, StatReport, ball,
                   gen_sierpinski, highway_distance_stats,
                   improvement_probability, route, sample_far_pairs,
                   shell_highway_stats, sweep_clustering_exponent, z_stats)
-from fgsw.analysis import sampled_radius
+from fgsw import graph as graph_module
+from fgsw.analysis import _augmented_csr, _sample_nodes, sampled_radius
+from fgsw.graph import BLOCK_CELLS, _bfs, _build_csr, _max_eccentricity
 
 
 def all_highway(graph, q=3.0, s=2.0, seed=0):
@@ -339,6 +342,9 @@ def test_diameter_exact_rings_and_torus():
     assert estimate_diameter(gen_lattice(1, 8), None).value == 4
     assert estimate_diameter(gen_lattice(1, 9, wrap=False), None).value == 8
     assert estimate_diameter(gen_lattice(2, 4), None).value == 4
+    one = Graph.from_edges(1, [])  # no arcs at all
+    assert estimate_diameter(one, None).value == 0
+    assert estimate_diameter(one, None, mode="sampled").value == 0
 
 
 def test_diameter_result_fields():
@@ -403,12 +409,91 @@ def test_diameter_follows_contact_direction(tmp_path):
     assert estimate_diameter(g, ov, mode="exact").value == directed
 
 
+def random_connected_graph(n, extra, seed):
+    """A random spanning tree plus up to ``extra`` random edges."""
+    gen = np.random.default_rng(seed)
+    edges = {(int(gen.integers(0, i)), i) for i in range(1, n)}
+    for u, v in gen.integers(0, n, size=(extra, 2)):
+        if u != v:
+            edges.add((int(min(u, v)), int(max(u, v))))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def bfs_rows_max(indptr, indices, n, sources):
+    """Largest eccentricity of ``sources`` read off csgraph rows."""
+    return int(_bfs(indptr, indices, n, sources, min_only=False).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 160), extra=st.integers(0, 80),
+       one_way=st.integers(0, 80), sources=st.integers(1, 160),
+       cells=st.sampled_from([8, 500, BLOCK_CELLS]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_max_eccentricity_matches_bfs_rows(n, extra, one_way, sources, cells,
+                                          seed):
+    # random one-way arcs on top of a connected graph keep it strongly
+    # connected; small budgets force one-word blocks and partial ones
+    g = random_connected_graph(n, extra, seed)
+    gen = np.random.default_rng(seed + 1)
+    heads = np.concatenate([np.repeat(np.arange(n), np.diff(g.indptr)),
+                            gen.integers(0, n, one_way)])
+    tails = np.concatenate([g.indices, gen.integers(0, n, one_way)])
+    loop = heads == tails
+    indptr, indices = _build_csr(n, heads[~loop], tails[~loop])
+    chosen = np.sort(gen.choice(n, size=min(sources, n), replace=False))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "BLOCK_CELLS", cells)
+        got = _max_eccentricity(indptr, indices, n, chosen)
+    assert got == bfs_rows_max(indptr, indices, n, chosen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 200), extra=st.integers(0, 100),
+       k=st.floats(1.0, 4.0), q=st.floats(0.5, 3.0), s=st.floats(0.0, 3.0),
+       mode=st.sampled_from(["exact", "sampled"]),
+       samples=st.integers(1, 150), seed=st.integers(0, 2 ** 16))
+def test_diameter_matches_bfs_rows_on_random_augmentations(
+        n, extra, k, q, s, mode, samples, seed):
+    g = random_connected_graph(n, extra, seed)
+    ov = build_overlay(g, OverlayParams(k=k, q=q, s=s, seed=seed))
+    res = estimate_diameter(g, ov, mode=mode, samples=samples, seed=seed)
+    sources = (np.arange(n) if mode == "exact"
+               else _sample_nodes(n, samples, seed, tag=5))
+    assert res.sources_evaluated == len(sources)
+    assert res.value == bfs_rows_max(*_augmented_csr(g, ov), n, sources)
+
+
+def test_max_eccentricity_rejects_sources_that_miss_a_node():
+    # 1 -> 0 <-> 2: node 1 reaches both, but its in-arc segment is empty
+    indptr, indices = _build_csr(3, np.array([1, 0, 2]), np.array([0, 2, 0]))
+    assert _max_eccentricity(indptr, indices, 3, np.array([1])) == 2
+    for sources in ([0], [2], [0, 2], [0, 1, 2]):
+        with pytest.raises(ValueError, match="not strongly connected"):
+            _max_eccentricity(indptr, indices, 3, np.array(sources))
+    # a two-way ring 0..99, the one-way arc 99 -> 100 and 100 <-> 101:
+    # sources 0..63 reach every node, so only the block's second word
+    # shows that 100 and 101 do not
+    ring = np.arange(100)
+    heads = np.concatenate([ring, (ring + 1) % 100, [99, 100, 101]])
+    tails = np.concatenate([(ring + 1) % 100, ring, [100, 101, 100]])
+    indptr, indices = _build_csr(102, heads, tails)
+    assert _max_eccentricity(indptr, indices, 102, np.arange(64)) == 52
+    with pytest.raises(ValueError, match="not strongly connected"):
+        _max_eccentricity(indptr, indices, 102, np.arange(102))
+
+
 def test_diameter_guards():
     g = gen_lattice(2, 16)
     with pytest.raises(ValueError, match="mode must be"):
         estimate_diameter(g, None, mode="approx")
     with pytest.raises(ValueError, match="needs n <= 20000"):
         estimate_diameter(gen_lattice(2, 142), None)  # 20,164 nodes
+    # built straight from CSR arcs: 0 <-> 1 and 2 <-> 3, never joined
+    split = Graph(4, np.array([0, 1, 2, 3, 4]),
+                  np.array([1, 0, 3, 2], dtype=np.int32))
+    for mode in ("exact", "sampled"):
+        with pytest.raises(ValueError, match="not strongly connected"):
+            estimate_diameter(split, None, mode=mode)
 
 
 # -- dimension estimate ----------------------------------------------------------------

@@ -174,6 +174,35 @@ def test_dimacs_component_tie_keeps_lowest_ids(tmp_path):
     assert list(import_dimacs(p).original_ids) == [1, 2]
 
 
+def test_dimacs_outputs_pinned(tmp_path, caplog):
+    # ids with gaps: components {2,5,9,12}, {4,7,11} and {1,6}; node 3
+    # has only a self-loop, and 8 and 10 have no arc
+    p = tmp_path / "t.gr"
+    write_dimacs(p, 12, [(2, 5, 4), (5, 9, 1), (9, 2, 7), (9, 12, 2),
+                         (12, 9, 3), (3, 3, 1), (4, 7, 1), (7, 11, 5),
+                         (1, 6, 1)])
+    with caplog.at_level(logging.WARNING, logger="fgsw.generators"):
+        imp = import_dimacs(p)
+    assert imp.graph.n == 4
+    assert imp.graph.indptr.tolist() == [0, 2, 4, 7, 8]
+    assert imp.graph.indices.tolist() == [1, 2, 0, 2, 0, 1, 3, 2]
+    assert imp.original_ids.tolist() == [2, 5, 9, 12]
+    assert imp.file_nodes == 12 and imp.dropped_nodes == 8
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{p}: kept largest component (4 nodes), dropped 8"]
+
+
+def test_dimacs_huge_declared_node_count(tmp_path):
+    # arrays are sized from the arcs' endpoints, not from `p sp n m`
+    p = tmp_path / "t.gr"
+    write_dimacs(p, 99999999999, [(1, 99999999999, 1)])
+    imp = import_dimacs(p)
+    assert imp.graph.n == 2 and imp.graph.m == 1
+    assert imp.file_nodes == 99999999999
+    assert imp.dropped_nodes == 99999999997
+    assert imp.original_ids.tolist() == [1, 99999999999]
+
+
 def test_dimacs_rejects_missing_problem_line(tmp_path):
     p = tmp_path / "t.gr"
     p.write_text("c nothing else\n")

@@ -243,6 +243,16 @@ def test_eccentricity_ring():
     assert gen_lattice(2, 4).eccentricity(5) == 4
 
 
+@pytest.mark.parametrize("dim, side, wrap", LATTICES)
+def test_lattice_eccentricity_closed_form_equals_rows(dim, side, wrap):
+    g = gen_lattice(dim, side, wrap=wrap)
+    assert g.lattice_hint == LatticeHint(dim, side, wrap)
+    plain = without_hint(g)
+    for u in sorted({0, 1, g.n // 3, g.n // 2, g.n - 2, g.n - 1}):
+        want = int(plain.distance_row(u).max())
+        assert g.eccentricity(u) == want == int(g.distance_row(u).max())
+
+
 # -- balls ------------------------------------------------------------------
 
 
