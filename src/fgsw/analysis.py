@@ -49,6 +49,8 @@ class StatReport:
 
 
 def _sample_nodes(n: int, samples: int, seed: int, tag: int) -> np.ndarray:
+    if samples < 1:
+        raise ValueError("need at least one sample")
     stream = rng.substream(seed, rng.DOMAIN_SAMPLES, tag)
     if samples >= n:
         return np.arange(n, dtype=np.int64)
@@ -76,6 +78,8 @@ def sample_far_pairs(graph: Graph, count: int, seed: int
     Each pair draws up to FAR_PAIR_TRIES candidates, then keeps the
     farthest seen. Returns (source, target, distance) triples.
     """
+    if count < 1:
+        raise ValueError("need at least one pair")
     threshold = 0.5 * sampled_radius(graph, seed)
     pairs = []
     for i in range(count):
@@ -172,7 +176,6 @@ def z_stats(graph: Graph, overlay: HighwayOverlay) -> StatReport:
     """Extremes and mean of z over all highway nodes, with the ratios
     the theory holds to max z (ln n / k + ln ln n) and min z (ln n / k)."""
     n, k = graph.n, overlay.params.k
-    overlay.materialize_all()
     zs = overlay.zvalues()
     upper_scale = math.log(n) / k + math.log(math.log(n))
     lower_scale = math.log(n) / k
@@ -219,6 +222,8 @@ def improvement_probability(graph: Graph, overlay: HighwayOverlay,
     column rescales by (c+1)^alpha * z(u), which the theory predicts is
     a constant. c just above 1 probes the full improving-move chance.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     n, k = graph.n, overlay.params.k
     hw = overlay.highway_ids
     report = StatReport(
@@ -232,10 +237,8 @@ def improvement_probability(graph: Graph, overlay: HighwayOverlay,
             raise ValueError("improvement factors must be > 1")
         min_d = c * (k * math.log(n)) ** (1.0 / alpha)
         stream = rng.substream(seed, rng.DOMAIN_SAMPLES, 3, ci)
-        hits = []
-        normalized = []
-        used = 0
-        attempts = 0
+        hits, normalized = [], []
+        used = attempts = 0
         while used < samples and attempts < 50 * samples:
             attempts += 1
             u = int(hw[stream.integers(0, hw.size)])
@@ -264,6 +267,8 @@ def fresh_contact_probability(graph: Graph, overlay: HighwayOverlay,
                               seed: int) -> StatReport:
     """Chance that a fresh contact leaves B_radius(u), normalized by
     ln n / (k * z(u)). Valid for radius <= n^(FRESH_THETA/alpha)."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     n, k = graph.n, overlay.params.k
     cap = n ** (FRESH_THETA / alpha)
     if radius > cap:
@@ -271,8 +276,7 @@ def fresh_contact_probability(graph: Graph, overlay: HighwayOverlay,
     hw = overlay.highway_ids
     stream = rng.substream(seed, rng.DOMAIN_SAMPLES, 4)
     nodes = hw[stream.integers(0, hw.size, size=samples)]
-    outside = []
-    normalized = []
+    outside, normalized = [], []
     for i, u in enumerate(nodes):
         u = int(u)
         fresh = overlay.draw_contact_targets(
@@ -305,15 +309,12 @@ def _augmented_csr(graph: Graph, overlay: HighwayOverlay | None
                    ) -> tuple[np.ndarray, np.ndarray]:
     if overlay is None:
         return graph.indptr, graph.indices
-    overlay.materialize_all()
-    heads = [np.repeat(np.arange(graph.n, dtype=np.int64),
-                       np.diff(graph.indptr))]
-    tails = [graph.indices.astype(np.int64)]
-    for u in overlay.highway_ids:
-        contacts = overlay.contacts(int(u))
-        heads.append(np.full(contacts.size, u, dtype=np.int64))
-        tails.append(contacts.astype(np.int64))
-    return _build_csr(graph.n, np.concatenate(heads), np.concatenate(tails))
+    ids = overlay.highway_ids
+    rows = overlay.contact_rows(ids)
+    r, c = np.nonzero(rows != ids[:, None])  # every cell but the padding
+    heads = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    return _build_csr(graph.n, np.concatenate([heads, ids[r]]),
+                      np.concatenate([graph.indices, rows[r, c]]))
 
 
 def estimate_diameter(graph: Graph, overlay: HighwayOverlay | None,
@@ -332,9 +333,9 @@ def estimate_diameter(graph: Graph, overlay: HighwayOverlay | None,
     if mode == "exact" and graph.n > EXACT_DIAMETER_MAX_N:
         raise ValueError(f"exact diameter needs n <= "
                          f"{EXACT_DIAMETER_MAX_N}, got {graph.n}")
-    indptr, indices = _augmented_csr(graph, overlay)
     sources = (np.arange(graph.n) if mode == "exact"
                else _sample_nodes(graph.n, samples, seed, tag=5))
+    indptr, indices = _augmented_csr(graph, overlay)
     best = _max_eccentricity(indptr, indices, graph.n, sources)
     return DiameterResult(value=best, mode=mode,
                           sources_evaluated=len(sources))
@@ -418,8 +419,7 @@ def estimate_alpha(graph: Graph, samples: int = 200,
     grid = np.round(np.arange(lo, hi + step / 2, step), decimals)
     nodes = _sample_nodes(graph.n, samples, seed, tag=6)
     half, eighth = graph.n / 2, graph.n / 8
-    per_node = []
-    skipped = []
+    per_node, skipped = [], []
     fits: dict[bytes, tuple[float, float]] = {}
     for u in nodes:
         sizes = ball_profile(graph, int(u), size_stop=math.ceil(half))
@@ -453,10 +453,7 @@ def sweep_clustering_exponent(graph: Graph, k: float, q: float,
     Highway membership and the evaluated pairs are shared across all s
     (same seed), so the sweep isolates the effect of s on contacts.
     """
-    if pairs < 1:
-        raise ValueError("need at least one pair")
-    ends = [(src, dst) for src, dst, _ in sample_far_pairs(graph, pairs,
-                                                            seed)]
+    ends = [pair[:2] for pair in sample_far_pairs(graph, pairs, seed)]
     report = StatReport(
         experiment="sweep_s",
         params={"n": graph.n, "k": k, "q": q, "pairs": pairs, "seed": seed,

@@ -220,9 +220,8 @@ def _cmd_route_batch(args) -> int:
 def _cmd_stats(args) -> int:
     graph, ovl = _load_pair(args)
     if args.kind == "balls":
-        report = analysis.ball_highway_stats(graph, ovl, args.c,
-                                             args.samples, args.alpha,
-                                             args.seed)
+        report = analysis.ball_highway_stats(graph, ovl, args.c, args.samples,
+                                             args.alpha, args.seed)
     elif args.kind == "shells":
         report = analysis.shell_highway_stats(graph, ovl, args.width,
                                               args.b_max, args.samples,
@@ -327,14 +326,11 @@ def _cmd_scaling(args) -> int:
         pairs = [(s, t) for s, t, _ in
                  analysis.sample_far_pairs(graph, args.pairs, args.seed)]
         traces = routing.route_batch(graph, ovl, pairs, args.variant)
-        hops = [t.hops for t in traces]
-        report.rows.append((
-            side, graph.n, k, math.log(graph.n),
-            sum(hops) / len(hops),
-            sum(t.hops_to_highway for t in traces) / len(traces),
-            sum(t.hops_on_highway for t in traces) / len(traces),
-            sum(t.hops_to_target for t in traces) / len(traces),
-            args.seed, len(traces)))
+        means = [sum(getattr(t, col) for t in traces) / len(traces)
+                 for col in ("hops", "hops_to_highway", "hops_on_highway",
+                             "hops_to_target")]
+        report.rows.append((side, graph.n, k, math.log(graph.n), *means,
+                            args.seed, len(traces)))
         print(f"side {side}: n={graph.n} k={k} "
               f"mean hops {report.rows[-1][4]:.2f}")
     report.write_csv(args.out)

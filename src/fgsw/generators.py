@@ -87,6 +87,18 @@ class DimacsImport:
                 fh.write(f"{new},{orig}\n")
 
 
+def _dimacs_ints(path, lineno: int, fields: list, what: str) -> list:
+    """The integer fields of one DIMACS line, each within int64."""
+    try:
+        values = [int(f) for f in fields]
+        if all(-2 ** 63 <= x < 2 ** 63 for x in values):
+            return values
+    except ValueError:
+        pass
+    raise GraphFormatError(f"{path}:{lineno}: non-integer {what} or one "
+                           f"outside int64: `{' '.join(fields)}`")
+
+
 def import_dimacs(path) -> DimacsImport:
     """Read a DIMACS shortest-path file as an unweighted undirected graph.
 
@@ -105,7 +117,7 @@ def import_dimacs(path) -> DimacsImport:
                 if len(parts) != 4 or parts[1] != "sp":
                     raise GraphFormatError(
                         f"{path}:{lineno}: expected `p sp n m`")
-                n_decl = int(parts[2])
+                n_decl, = _dimacs_ints(path, lineno, parts[2:3], "node count")
             elif parts[0] == "a":
                 if len(parts) != 4:
                     raise GraphFormatError(
@@ -113,11 +125,7 @@ def import_dimacs(path) -> DimacsImport:
                 if n_decl is None:
                     raise GraphFormatError(
                         f"{path}:{lineno}: arc before problem line")
-                try:
-                    u, v = int(parts[1]), int(parts[2])
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: non-integer arc endpoint") from exc
+                u, v = _dimacs_ints(path, lineno, parts[1:3], "arc endpoint")
                 if not (1 <= u <= n_decl and 1 <= v <= n_decl):
                     raise GraphFormatError(
                         f"{path}:{lineno}: endpoint outside [1, {n_decl}]")

@@ -203,8 +203,7 @@ class Graph:
 
     def save(self, path) -> None:
         """Write the text format: `n m` then one `u v` line per edge."""
-        u = np.repeat(np.arange(self.n, dtype=np.int64),
-                      np.diff(self.indptr))
+        u = np.repeat(np.arange(self.n), np.diff(self.indptr))
         v = self.indices.astype(np.int64)
         mask = u < v
         pairs = np.stack([u[mask], v[mask]], axis=1)

@@ -78,8 +78,13 @@ class HighwayOverlay:
     """Sampled highway set plus per-node contact lists and z values.
 
     Contact lists and z(u) are materialized on first access and cached;
-    the result never depends on access order. The caches are filled
-    without locks, so an overlay is single-threaded.
+    the result never depends on access order. The lists live in one
+    int32 table, ``contact_table``: row r belongs to ``highway_ids[r]``
+    and is min(round(q*k), |H| - 1) wide. A built row holds the node's
+    contacts in ascending order, padded with the node's own id; an
+    unbuilt row is all -1. ``_cache`` maps a built node to (z, its row
+    without the padding). The caches are filled without locks, so an
+    overlay is single-threaded.
     """
 
     def __init__(self, graph: Graph, params: OverlayParams,
@@ -89,6 +94,9 @@ class HighwayOverlay:
         self.epoch = epoch
         self.is_highway = is_highway
         self.highway_ids = np.flatnonzero(is_highway).astype(np.int32)
+        width = min(params.draws_per_node, self.highway_ids.size - 1)
+        self.contact_table = np.full((self.highway_ids.size, width), -1,
+                                     dtype=np.int32)
         self._cache: dict[int, tuple[float, np.ndarray]] = {}
         self._nearest: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -112,13 +120,18 @@ class HighwayOverlay:
         return z, targets[idx]
 
     def _materialize(self, u: int) -> tuple[float, np.ndarray]:
-        entry = self._cache.get(u)
-        if entry is None:
+        if u not in self._cache:
             z, drawn = self._draw(u, self.params.draws_per_node,
                                   rng.DOMAIN_CONTACTS, self.epoch, u)
-            entry = (z, np.unique(drawn))
-            self._cache[u] = entry
-        return entry
+            self._store(u, z, np.unique(drawn))
+        return self._cache[u]
+
+    def _store(self, u: int, z: float, contacts: np.ndarray) -> None:
+        """Write u's contact-table row; cache z and the unpadded row."""
+        row = self.contact_table[np.searchsorted(self.highway_ids, u)]
+        row[:] = u
+        row[:contacts.size] = contacts
+        self._cache[u] = (z, row[:contacts.size])
 
     def _require_highway(self, u: int) -> None:
         if not 0 <= u < self.graph.n:
@@ -152,9 +165,15 @@ class HighwayOverlay:
         self._require_highway(u)
         return self._draw(u, count, rng.DOMAIN_REDRAW, self.epoch, u, tag)[1]
 
+    def contact_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Padded contact-table rows of highway ``nodes``, built on demand."""
+        rank = np.searchsorted(self.highway_ids, nodes)
+        for r in np.unique(rank[self.contact_table[rank, 0] < 0]):
+            self._materialize(int(self.highway_ids[r]))
+        return self.contact_table[rank]
+
     def materialize_all(self) -> None:
-        for u in self.highway_ids:
-            self._materialize(int(u))
+        self.contact_rows(self.highway_ids)
 
     def zvalues(self) -> np.ndarray:
         """z over all highway nodes, aligned with highway_ids."""
@@ -172,8 +191,7 @@ class HighwayOverlay:
         if self._nearest is None:
             g = self.graph
             dist = multi_source_bfs(g, self.highway_ids)
-            heads = np.repeat(np.arange(g.n, dtype=np.int64),
-                              np.diff(g.indptr))
+            heads = np.repeat(np.arange(g.n), np.diff(g.indptr))
             good = dist[g.indices] == dist[heads] - 1
             cand = np.where(good, g.indices, g.n).astype(np.int64)
             next_hop = np.minimum.reduceat(cand, g.indptr[:-1]).astype(np.int64)
@@ -258,7 +276,7 @@ class HighwayOverlay:
             if np.any(contacts == u) or np.any(np.diff(contacts) <= 0):
                 raise OverlayError(
                     f"{path}: node {u} has self or unsorted contacts")
-            overlay._cache[u] = (z, contacts)
+            overlay._store(u, z, contacts)
         return overlay
 
 

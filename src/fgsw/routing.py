@@ -26,6 +26,7 @@ Every hop is labeled with its edge kind (local / long-range) and phase
 ``route`` walks one pair hop by hop; its hop rule, ``_next_hop``, is the
 reference. ``route_batch`` applies the same rule to a whole batch in
 lockstep: every live walk of a block advances one hop per numpy step,
+reading its contacts from the overlay's padded ``contact_table`` rows,
 and each of its traces equals ``route``'s for the same pair.
 """
 
@@ -79,20 +80,17 @@ class RoutingTrace:
     def hops(self) -> int:
         return len(self.path) - 1
 
-    def phase_hops(self, phase: str) -> int:
-        return sum(1 for p in self.phases if p == phase)
-
     @property
     def hops_to_highway(self) -> int:
-        return self.phase_hops(PHASE_TO_HIGHWAY)
+        return self.phases.count(PHASE_TO_HIGHWAY)
 
     @property
     def hops_on_highway(self) -> int:
-        return self.phase_hops(PHASE_ON_HIGHWAY)
+        return self.phases.count(PHASE_ON_HIGHWAY)
 
     @property
     def hops_to_target(self) -> int:
-        return self.phase_hops(PHASE_TO_TARGET)
+        return self.phases.count(PHASE_TO_TARGET)
 
 
 def _next_hop(graph: Graph, overlay: HighwayOverlay, dist_t: np.ndarray,
@@ -192,7 +190,7 @@ def route_batch(graph: Graph, overlay: HighwayOverlay,
         raise ValueError(f"node {int(ends.flat[bad[0]])} out of range")
     walks = _Lockstep(graph, overlay, variant)
     width = graph.n if graph.lattice_hint is None \
-        else walks.nbrs.shape[1] + walks.contacts.shape[1]
+        else walks.nbrs.shape[1] + overlay.contact_table.shape[1]
     block = max(1, BLOCK_CELLS // width)
     return [trace for i in range(0, len(ends), block)
             for trace in walks.run(ends[i:i + block])]
@@ -201,13 +199,10 @@ def route_batch(graph: Graph, overlay: HighwayOverlay,
 class _Lockstep:
     """``_next_hop`` over a block of walks at once.
 
-    The neighbour table holds each node's neighbours in ascending order
-    and the contact table each highway node's contacts (row = rank in
-    ``highway_ids``), both padded with the row's own node, whose
-    distance never improves on the walk's. A contact list holds at most
-    min(round(q*k), |H| - 1) distinct nodes, the contact table's fixed
-    width. Contact rows are filled through ``overlay.contacts`` when a
-    walk first stands on their node.
+    The neighbour table holds each node's neighbours in ascending order,
+    padded with the row's own node, whose distance never improves on the
+    walk's; the overlay's ``contact_rows`` are padded the same way and
+    are built when a walk first stands on their node.
     """
 
     def __init__(self, graph: Graph, overlay: HighwayOverlay, variant: str):
@@ -217,21 +212,8 @@ class _Lockstep:
         self.plain = variant == "plain"
         self.is_hw = overlay.is_highway
         self.nbrs = _neighbour_table(graph)
-        ids = overlay.highway_ids
-        width = min(overlay.params.draws_per_node, ids.size - 1)
-        self.contacts = np.repeat(ids[:, None], width, axis=1)
-        self.filled = np.zeros(ids.size, dtype=bool)
         self.nearest = (overlay.nearest_highway()
                         if variant == "highway-aware" else None)
-
-    def _contact_rows(self, nodes: np.ndarray) -> np.ndarray:
-        ids = self.overlay.highway_ids
-        rank = np.searchsorted(ids, nodes)
-        for r in np.unique(rank[~self.filled[rank]]):
-            row = self.overlay.contacts(int(ids[r]))
-            self.contacts[r, :row.size] = row
-            self.filled[r] = True
-        return self.contacts[rank]
 
     def _step(self, dist, walk: np.ndarray, cur: np.ndarray,
               d_cur: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,7 +223,7 @@ class _Lockstep:
         best, d_best = cur.copy(), d_cur.copy()
         on = self.is_hw[cur].nonzero()[0]
         if on.size:
-            cand = self._contact_rows(cur[on])
+            cand = self.overlay.contact_rows(cur[on])
             d = dist(walk[on, None], cand)
             pick = np.arange(on.size), d.argmin(axis=1)
             d_pick = d[pick]

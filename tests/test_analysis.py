@@ -373,6 +373,27 @@ def test_diameter_sampled_lower_bounds_exact():
     assert again.value == sampled.value
 
 
+@pytest.mark.parametrize("kind", ["eager", "lazy", "loaded"])
+def test_augmented_csr_matches_contact_lists(tmp_path, kind):
+    # the expected arcs come node by node from a separate eager overlay
+    g = gen_lattice(2, 12, wrap=False)
+    params = OverlayParams(k=3, q=2, s=2, seed=4)
+    ref = build_overlay(g, params)
+    rows = [sorted(g.neighbors(v).tolist() + (ref.contacts(v).tolist()
+                                               if ref.is_highway[v] else []))
+            for v in range(g.n)]
+    ov = build_overlay(g, params, materialize=kind == "eager")
+    if kind == "lazy":  # some rows built, the rest not
+        ov.contacts(int(ov.highway_ids[3]))
+    elif kind == "loaded":
+        ref.save(tmp_path / "o.ov")
+        ov = HighwayOverlay.load(g, tmp_path / "o.ov")
+    indptr, indices = _augmented_csr(g, ov)
+    assert np.any(ov.contact_table == ov.highway_ids[:, None])  # padding
+    assert np.array_equal(indptr, np.cumsum([0] + [len(r) for r in rows]))
+    assert np.array_equal(indices, [v for r in rows for v in r])
+
+
 def test_diameter_follows_contact_direction(tmp_path):
     # a 7-node path whose contacts form the one-way cycle 0 -> 6 -> 3 -> 0
     g = gen_lattice(1, 7, wrap=False)

@@ -1,5 +1,7 @@
 """CLI: subcommand behavior, exit codes, artifact determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,44 @@ def test_data_errors_exit_2(workdir, tmp_path, capsys):
                  "--source", "0", "--target", "64"]) == 2
     err = capsys.readouterr().err
     assert "fgsw:" in err
+
+
+@pytest.mark.parametrize("command", ["route-batch", "scaling"])
+def test_pairs_below_one_exit_2(workdir, tmp_path, capsys, command):
+    argv = (["route-batch", "--graph", str(workdir / "torus8.txt"),
+             "--overlay", str(workdir / "torus8.ov")]
+            if command == "route-batch" else ["scaling", "--sides", "8"])
+    assert main(argv + ["--pairs", "0", "--seed", "1",
+                        "--out", str(tmp_path / "out.csv")]) == 2
+    assert "need at least one pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "shells", "--width", "2", "--b-max", "6"],
+    ["stats", "balls", "--alpha", "1", "--c", "1"],
+    ["stats", "fresh", "--alpha", "2", "--radius", "4"],
+    ["stats", "improve", "--alpha", "1", "--c-list", "1.5,2"],
+    ["diameter", "--mode", "sampled"],
+])
+def test_samples_below_one_exit_2(workdir, tmp_path, capsys, argv):
+    assert main(argv + ["--graph", str(workdir / "ring64.txt"),
+                        "--overlay", str(workdir / "ring64.ov"),
+                        "--samples", "0", "--seed", "2",
+                        "--out", str(tmp_path / "out.csv")]) == 2
+    assert "need at least one sample" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("text, what", [
+    ("p sp x 1\n", r":1: non-integer node count"),
+    ("p sp 99999999999999999999999 1\n", r":1: non-integer node count"),
+    ("p sp 3 1\na 1 99999999999999999999999 1\n",
+     r":2: non-integer arc endpoint or one outside int64"),
+])
+def test_dimacs_bad_numbers_exit_2(tmp_path, capsys, text, what):
+    src = tmp_path / "bad.gr"
+    src.write_text(text)
+    assert main(["import-dimacs", "--input", str(src),
+                 "--out", str(tmp_path / "g.txt"),
+                 "--map-out", str(tmp_path / "map.csv")]) == 2
+    assert re.search(re.escape(str(src)) + what, capsys.readouterr().err)

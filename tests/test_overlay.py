@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from fgsw import (Graph, HighwayOverlay, OverlayError, OverlayParams,
-                  build_overlay, gen_lattice, sample_highway_membership)
+                  build_overlay, gen_lattice, rng, route, route_batch,
+                  sample_far_pairs, sample_highway_membership)
 from fgsw.overlay import MAX_MEMBERSHIP_EPOCHS
 from fgsw.rng import DOMAIN_MEMBERSHIP, substream
 
@@ -257,6 +258,48 @@ def test_nearest_highway_two_sources_torus():
             # lowest-id strictly-closer neighbor wins
             closer = [v for v in g.neighbors(u) if dist[v] == dist[u] - 1]
             assert next_hop[u] == min(closer)
+
+
+def test_contacts_are_table_rows_without_padding(tmp_path):
+    g = gen_lattice(2, 10)
+    params = OverlayParams(k=3, q=3, s=2, seed=2)
+    ov = build_overlay(g, params, materialize=False)
+    ids, table = ov.highway_ids, ov.contact_table
+    assert table.dtype == np.int32
+    assert table.shape == (ids.size, min(9, ids.size - 1))
+    assert np.all(table == -1)  # nothing built yet
+    rows = ov.contact_rows(ids[[2, 0, 2]])
+    assert np.array_equal(rows, table[[2, 0, 2]])
+    assert np.all(table[1] == -1)  # rows nobody asked for stay unbuilt
+    ov.materialize_all()
+    for r, u in enumerate(ids.tolist()):
+        c = ov.contacts(u)
+        assert np.array_equal(table[r, :c.size], c)
+        assert np.all(table[r, c.size:] == u)  # padded with the node
+    assert np.any(table == ids[:, None])  # some list lost a duplicate
+    ov.save(tmp_path / "o.ov")
+    loaded = HighwayOverlay.load(g, tmp_path / "o.ov")
+    assert np.array_equal(loaded.contact_table, table)
+    assert np.array_equal(table, build_overlay(g, params).contact_table)
+
+
+def test_routing_draws_each_contact_list_once(monkeypatch):
+    g = gen_lattice(2, 16)
+    ov = build_overlay(g, OverlayParams(k=4, q=2, s=2, seed=3),
+                       materialize=False)
+    pairs = [(s, t) for s, t, _ in sample_far_pairs(g, 40, seed=1)]
+    drawn = []
+
+    def counting(seed, *path):
+        if path[0] == rng.DOMAIN_CONTACTS:
+            drawn.append(path[-1])
+        return substream(seed, *path)
+
+    monkeypatch.setattr(rng, "substream", counting)
+    for variant in ("highway-sticky", "plain"):
+        route_batch(g, ov, pairs, variant)
+    route(g, ov, *pairs[0], variant="highway-aware")
+    assert len(drawn) == len(set(drawn)) == len(ov._cache) > 0
 
 
 # -- serialization ----------------------------------------------------------------
