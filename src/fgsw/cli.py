@@ -38,6 +38,19 @@ def _resolve_k(spec: str, n: int) -> float:
     return float(spec)
 
 
+def _number_list(text: str, flag: str, kind=float) -> list:
+    """The numbers of a comma-separated flag value, empty items skipped;
+    an empty or non-numeric list is a data error that names the flag."""
+    try:
+        values = [kind(item) for item in text.split(",") if item]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"{flag} needs comma-separated {kind.__name__} "
+                         f"values, got {text!r}")
+    return values
+
+
 def _load_pair(args) -> tuple[Graph, HighwayOverlay]:
     graph = Graph.load(args.graph)
     ovl = HighwayOverlay.load(graph, args.overlay)
@@ -231,7 +244,7 @@ def _cmd_stats(args) -> int:
     elif args.kind == "highway-dist":
         report = analysis.highway_distance_stats(graph, ovl, args.alpha)
     elif args.kind == "improve":
-        c_values = [float(c) for c in args.c_list.split(",") if c]
+        c_values = _number_list(args.c_list, "--c-list")
         report = analysis.improvement_probability(graph, ovl, c_values,
                                                   args.samples, args.alpha,
                                                   args.seed)
@@ -297,7 +310,7 @@ def _cmd_estimate_alpha(args) -> int:
 
 def _cmd_sweep_s(args) -> int:
     graph = Graph.load(args.graph)
-    s_values = [float(s) for s in args.s_list.split(",") if s]
+    s_values = _number_list(args.s_list, "--s-list")
     report = analysis.sweep_clustering_exponent(
         graph, _resolve_k(args.k, graph.n), args.q, s_values,
         args.pairs, args.seed, variant=args.variant)
@@ -309,13 +322,13 @@ def _cmd_sweep_s(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    sides = [int(s) for s in args.sides.split(",") if s]
+    sides = _number_list(args.sides, "--sides", int)
     report = analysis.StatReport(
         experiment="scaling",
         params={"dim": args.dim, "sides": args.sides, "k": args.k,
                 "q": args.q, "s": args.s, "pairs": args.pairs,
                 "variant": args.variant, "seed": args.seed,
-                "n": sides[-1] ** args.dim if sides else 0},
+                "n": sides[-1] ** args.dim},
         columns=("side", "n", "k", "ln_n", "mean_hops", "mean_to_highway",
                  "mean_on_highway", "mean_to_target", "seed", "samples"))
     for side in sides:

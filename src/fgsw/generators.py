@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (Graph, GraphFormatError, _build_csr, _components,
-                    _lattice_csr)
+                    _lattice_coordinates, _lattice_csr)
 
 log = logging.getLogger(__name__)
 
@@ -30,7 +30,7 @@ def gen_lattice(dim: int, side: int, wrap: bool = True) -> Graph:
     if n > NODE_BUDGET:
         raise ValueError(
             f"side^dim = {n} exceeds the node budget of {NODE_BUDGET}")
-    return Graph(n, *_lattice_csr(dim, side, wrap))
+    return Graph(n, *_lattice_csr(_lattice_coordinates(dim, side), side, wrap))
 
 
 def gen_sierpinski(level: int) -> Graph:

@@ -1,20 +1,19 @@
-"""Undirected graph core: CSR storage, BFS distances, balls and shells.
+"""Undirected graph core: CSR storage, the hop metric, balls and shells.
 
-Hop distance is the only metric in the package. One BFS defines it:
-``_bfs``, scipy's csgraph Dijkstra over unit-weight arcs, behind every
-distance row, ball and shell; components come from csgraph over the
-same arcs. Diameters need only the largest distance, so
-``_max_eccentricity`` finds it by bit-parallel multi-source BFS over
-the same arcs without building rows. ``Graph`` reads the metric through
-four entry points: ``distance_row(u)`` for a full row,
-``distances(u, targets)`` for a subset, ``distance(u, v)`` for one pair
-and ``distances_to(targets)`` for a lookup into a block of targets. A
+Hop distance is the only metric in the package, and ``Graph`` holds it:
+``distance_row(u)``, ``distances(u, targets)``, ``distance(u, v)``,
+``distances_to(targets)`` (a lookup into a block of target rows) and
+``eccentricity(u)``; a scalar node id outside [0, n) is a ValueError. A
 graph whose CSR arrays equal those of a row-major lattice recognises
-itself as one, whatever built it (``gen_lattice``, ``Graph.load`` or
-``from_edges``), and carries a coordinate hint that lets all four, and
-``eccentricity(u)``, evaluate the same metric in closed form, all but
-the first without building a row (the equivalence is asserted by
-tests, not assumed); without a hint they read BFS rows.
+itself as one, whatever built it, keeps the coordinates that check
+built, and evaluates all five in closed form, all but the first without
+building a row (tests assert the equivalence). Otherwise ``_bfs``,
+scipy's csgraph Dijkstra over unit-weight arcs, builds the rows; it
+serves only single rows, row blocks and ``multi_source_bfs``. ``bfs``,
+``ball``, ``shell`` and ``pack_independent_balls`` threshold
+``distance_row``. Components come from csgraph over the same arcs, and
+diameters from ``_max_eccentricity``, a bit-parallel multi-source BFS
+that builds no rows.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ class Graph:
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
-        self.lattice_hint = _recognize_lattice(self.n, indptr, indices)
-        self._coords: np.ndarray | None = None
+        self.lattice_hint, self._coords = _recognize_lattice(
+            self.n, indptr, indices)
         indptr.flags.writeable = False
         indices.flags.writeable = False
 
@@ -119,12 +118,12 @@ class Graph:
 
     # -- metric -------------------------------------------------------
 
-    def _coordinates(self) -> np.ndarray:
-        hint = self.lattice_hint
-        assert hint is not None
-        if self._coords is None:
-            self._coords = _lattice_coordinates(hint.dim, hint.side)
-        return self._coords
+    def _node(self, u: int) -> int:
+        """u as an int; ValueError unless 0 <= u < n."""
+        u = int(u)
+        if not 0 <= u < self.n:
+            raise ValueError(f"node {u} out of range")
+        return u
 
     def _lattice_distances(self, a: np.ndarray, b: np.ndarray
                            ) -> np.ndarray:
@@ -138,19 +137,19 @@ class Graph:
 
     def distance_row(self, u: int) -> np.ndarray:
         """Hop distance from u to every node (int32)."""
+        u = self._node(u)
         if self.lattice_hint is None:
             return _bfs(self.indptr, self.indices, self.n, (u,))
-        coords = self._coordinates()
-        return self._lattice_distances(coords[:, u:u + 1], coords)
+        return self._lattice_distances(self._coords[:, u:u + 1], self._coords)
 
     def distances(self, u: int, targets: np.ndarray) -> np.ndarray:
         """Hop distance from u to each of ``targets``, in their order
         (int32)."""
+        u = self._node(u)
         if self.lattice_hint is None:
             return self.distance_row(u)[targets]
-        coords = self._coordinates()
-        return self._lattice_distances(coords[:, u:u + 1],
-                                       np.take(coords, targets, axis=1))
+        return self._lattice_distances(self._coords[:, u:u + 1],
+                                       np.take(self._coords, targets, axis=1))
 
     def distances_to(self, targets: np.ndarray
                      ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -166,17 +165,17 @@ class Graph:
             rows = _bfs(self.indptr, self.indices, self.n, targets,
                         min_only=False)
             return lambda i, nodes: rows[i, nodes]
-        coords = self._coordinates()
+        coords = self._coords
         ends = coords[:, targets]
         return lambda i, nodes: self._lattice_distances(ends[:, i],
                                                         coords[:, nodes])
 
     def distance(self, u: int, v: int) -> int:
         """Hop distance between u and v; the BFS fallback reads v's row."""
-        hint = self.lattice_hint
+        u, v, hint = self._node(u), self._node(v), self.lattice_hint
         if hint is None:
             return int(self.distance_row(v)[u])
-        u, v, total = int(u), int(v), 0
+        total = 0
         for _ in range(hint.dim):
             u, a = divmod(u, hint.side)
             v, b = divmod(v, hint.side)
@@ -188,12 +187,12 @@ class Graph:
         """Largest hop distance from u; closed form on a lattice, where
         each axis contributes side // 2 when wrapped and u's distance to
         the farther end otherwise."""
-        hint = self.lattice_hint
+        u, hint = self._node(u), self.lattice_hint
         if hint is None:
             return int(self.distance_row(u).max())
         if hint.wrap:
             return hint.dim * (hint.side // 2)
-        u, total = int(u), 0
+        total = 0
         for _ in range(hint.dim):
             u, c = divmod(u, hint.side)
             total += max(c, hint.side - 1 - c)
@@ -268,15 +267,14 @@ def _lattice_coordinates(dim: int, side: int) -> np.ndarray:
     return coords
 
 
-def _lattice_csr(dim: int, side: int, wrap: bool
+def _lattice_csr(coords: np.ndarray, side: int, wrap: bool
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of the row-major side**dim lattice, laid out as
-    ``_build_csr`` lays them out. Each node is joined to its +-1
-    neighbours along every axis, across the boundary only when
+    """CSR arrays of the row-major lattice with coordinates ``coords``,
+    laid out as ``_build_csr`` lays them out. Each node is joined to its
+    +-1 neighbours along every axis, across the boundary only when
     ``wrap``; callers keep side >= 3 when wrapped, >= 2 otherwise."""
-    n = side ** dim
+    dim, n = coords.shape
     ids = np.arange(n, dtype=np.int64)
-    coords = _lattice_coordinates(dim, side)
     nbrs = np.full((n, 2 * dim), n, dtype=np.int64)  # n: no neighbour
     for axis in range(dim):
         stride = side ** (dim - 1 - axis)
@@ -294,8 +292,9 @@ def _lattice_csr(dim: int, side: int, wrap: bool
 
 
 def _recognize_lattice(n: int, indptr: np.ndarray, indices: np.ndarray
-                       ) -> LatticeHint | None:
-    """The lattice whose CSR arrays equal the given ones, else None.
+                       ) -> tuple[LatticeHint | None, np.ndarray | None]:
+    """(hint, coordinates) of the lattice with these CSR arrays, else
+    (None, None).
 
     Candidates must have side**dim == n nodes and the lattice's arc
     count before any array is built; the match compares full arrays.
@@ -310,11 +309,12 @@ def _recognize_lattice(n: int, indptr: np.ndarray, indices: np.ndarray
             arcs = 2 * dim * (side if wrap else side - 1) * side ** (dim - 1)
             if indices.size != arcs:
                 continue
-            want_indptr, want_indices = _lattice_csr(dim, side, wrap)
+            coords = _lattice_coordinates(dim, side)
+            want_indptr, want_indices = _lattice_csr(coords, side, wrap)
             if (np.array_equal(indptr, want_indptr)
                     and np.array_equal(indices, want_indices)):
-                return LatticeHint(dim, side, wrap)
-    return None
+                return LatticeHint(dim, side, wrap), coords
+    return None, None
 
 
 def _adjacency(indptr: np.ndarray, indices: np.ndarray, n: int
@@ -325,19 +325,16 @@ def _adjacency(indptr: np.ndarray, indices: np.ndarray, n: int
 
 
 def _bfs(indptr: np.ndarray, indices: np.ndarray, n: int,
-         sources: Sequence[int], cutoff: int | None = None,
-         min_only: bool = True) -> np.ndarray:
+         sources: Sequence[int], min_only: bool = True) -> np.ndarray:
     """Hop distances along the directed arcs of a CSR graph (int32).
 
     The package's one BFS kernel. With ``min_only`` it returns one row,
     the distance to the nearest source; otherwise one row per source.
-    Nodes farther than ``cutoff`` (or with no path) are UNREACHABLE.
-    The arcs already weigh 1, so csgraph's ``unweighted`` flag, which
-    copies the weights, is left off.
+    Nodes with no path are UNREACHABLE. The arcs already weigh 1, so
+    csgraph's ``unweighted`` flag, which copies the weights, is left off.
     """
     dist = csgraph.dijkstra(_adjacency(indptr, indices, n),
-                            indices=sources, min_only=min_only,
-                            limit=np.inf if cutoff is None else cutoff)
+                            indices=sources, min_only=min_only)
     dist[np.isinf(dist)] = UNREACHABLE
     return dist.astype(np.int32)
 
@@ -400,13 +397,9 @@ def _components(indptr: np.ndarray, indices: np.ndarray, n: int
                                         connection="strong")
 
 
-def bfs(graph: Graph, source: int, cutoff: int | None = None) -> DistanceField:
-    """Hop distances from ``source`` (optionally truncated at ``cutoff``)."""
-    if not 0 <= source < graph.n:
-        raise ValueError(f"source {source} out of range")
-    return DistanceField(source,
-                         _bfs(graph.indptr, graph.indices, graph.n,
-                              (source,), cutoff=cutoff))
+def bfs(graph: Graph, source: int) -> DistanceField:
+    """Hop distances from ``source``: its ``distance_row``."""
+    return DistanceField(source, graph.distance_row(source))
 
 
 def multi_source_bfs(graph: Graph, sources: Sequence[int]) -> np.ndarray:
@@ -420,8 +413,7 @@ def ball(graph: Graph, u: int, radius: int) -> np.ndarray:
     """Sorted ids of nodes within hop distance ``radius`` of u."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    dist = _bfs(graph.indptr, graph.indices, graph.n, (u,), cutoff=radius)
-    return np.flatnonzero(dist >= 0).astype(np.int32)
+    return np.flatnonzero(graph.distance_row(u) <= radius).astype(np.int32)
 
 
 def ball_profile(graph: Graph, u: int, size_stop: int | None = None
@@ -443,10 +435,9 @@ def shell(graph: Graph, u: int, width: int, index: int) -> np.ndarray:
         raise ValueError("shell width must be >= 1")
     if index < 0:
         raise ValueError("shell index must be >= 0")
-    outer = (index + 1) * width
-    dist = _bfs(graph.indptr, graph.indices, graph.n, (u,), cutoff=outer)
-    return np.flatnonzero((dist > index * width) & (dist <= outer)
-                          ).astype(np.int32)
+    dist = graph.distance_row(u)
+    return np.flatnonzero((dist > index * width)
+                          & (dist <= (index + 1) * width)).astype(np.int32)
 
 
 def pack_independent_balls(graph: Graph, radius: int) -> np.ndarray:

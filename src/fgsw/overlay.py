@@ -20,6 +20,9 @@ from . import rng
 from .graph import Graph, multi_source_bfs
 
 MAX_MEMBERSHIP_EPOCHS = 16
+# most contact draws per highway node: 2**24 uniforms are 128 MiB for
+# one list, and a larger round(q*k) only asks numpy for more memory
+MAX_DRAWS_PER_NODE = 1 << 24
 
 
 class OverlayError(ValueError):
@@ -48,6 +51,9 @@ class OverlayParams:
             raise OverlayError("s must be >= 0")
         if self.draws_per_node < 1:
             raise OverlayError("round(q*k) must be >= 1")
+        if self.draws_per_node > MAX_DRAWS_PER_NODE:
+            raise OverlayError(f"round(q*k) = {self.draws_per_node} is above "
+                               f"the limit of {MAX_DRAWS_PER_NODE} draws")
 
     @property
     def draws_per_node(self) -> int:
@@ -158,7 +164,7 @@ class HighwayOverlay:
         probs = np.diff(cum, prepend=0.0) / z
         return targets, probs, z
 
-    def draw_contact_targets(self, u: int, count: int, tag: int = 0
+    def draw_contact_targets(self, u: int, count: int, tag: int
                              ) -> np.ndarray:
         """Fresh draws from u's contact law (for statistics; does not
         touch the overlay's own contact lists)."""

@@ -132,16 +132,15 @@ def _next_hop(graph: Graph, overlay: HighwayOverlay, dist_t: np.ndarray,
 
 
 def route(graph: Graph, overlay: HighwayOverlay, source: int, target: int,
-          variant: str = "highway-sticky",
-          dist_to_target: np.ndarray | None = None) -> RoutingTrace:
-    """Run one greedy walk; always succeeds on a connected graph."""
+          variant: str = "highway-sticky") -> RoutingTrace:
+    """Run one greedy walk by ``_next_hop`` over the target's
+    ``distance_row``; always succeeds on a connected graph."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     for node in (source, target):
         if not 0 <= node < graph.n:
             raise ValueError(f"node {node} out of range")
-    dist_t = dist_to_target if dist_to_target is not None \
-        else graph.distance_row(target)
+    dist_t = graph.distance_row(target)
     trace = RoutingTrace(source=source, target=target, variant=variant,
                          path=[source], dist_st=int(dist_t[source]))
     is_hw = overlay.is_highway

@@ -299,8 +299,7 @@ def test_criterion_10_routing_invariants():
                 instances += 1
                 dist_t = g.distance_row(t)
                 for variant in ("plain", "highway-sticky", "highway-aware"):
-                    tr = route(g, ov, s, t, variant,
-                               dist_to_target=dist_t)
+                    tr = route(g, ov, s, t, variant)
                     if tr.path[-1] != t:
                         violations.append(f"{variant} missed target")
                     try:

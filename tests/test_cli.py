@@ -296,3 +296,38 @@ def test_dimacs_bad_numbers_exit_2(tmp_path, capsys, text, what):
                  "--out", str(tmp_path / "g.txt"),
                  "--map-out", str(tmp_path / "map.csv")]) == 2
     assert re.search(re.escape(str(src)) + what, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", [",", "2,x"])
+@pytest.mark.parametrize("command, flag", [
+    ("sweep-s", "--s-list"), ("scaling", "--sides"), ("stats", "--c-list")])
+def test_bad_number_lists_exit_2(workdir, tmp_path, capsys, command, flag,
+                                 value):
+    graph = ["--graph", str(workdir / "torus8.txt")]
+    argv = {"sweep-s": ["sweep-s", *graph, "--k", "2", "--q", "2",
+                        "--pairs", "5"],
+            "scaling": ["scaling", "--pairs", "5"],
+            "stats": ["stats", "improve", *graph,
+                      "--overlay", str(workdir / "torus8.ov")]}[command]
+    out = tmp_path / "out.csv"
+    assert main(argv + [flag, value, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fgsw: {flag} needs comma-separated")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["augment", "stats"])
+def test_huge_round_qk_exit_2(workdir, tmp_path, capsys, command):
+    graph = ["--graph", str(workdir / "torus8.txt")]
+    if command == "augment":
+        argv = ["augment", *graph, "--k", "1", "--q", "1e12", "--s", "2"]
+    else:
+        huge = tmp_path / "huge.ov"
+        huge.write_text("1e12 1 1 0 0 64\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0\n")
+        argv = ["stats", "fresh", *graph, "--overlay", str(huge)]
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "round(q*k) = 1000000000000 is above the limit" in err
+    assert not out.exists()

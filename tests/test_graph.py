@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgsw import (Graph, GraphFormatError, LatticeHint, ball, ball_profile,
                   bfs, gen_lattice, gen_sierpinski, multi_source_bfs,
                   pack_independent_balls, shell)
-from fgsw.graph import _lattice_csr
+from fgsw.graph import _bfs, _lattice_coordinates, _lattice_csr
 from fgsw.rng import substream
 
 # (dim, side, wrap): every dim at its minimum sides and at larger ones
@@ -109,7 +110,8 @@ def edge_list_lattice(dim, side, wrap):
 @pytest.mark.parametrize("dim,side,wrap", LATTICES)
 def test_lattice_csr_equals_edge_list_construction(dim, side, wrap):
     ref = edge_list_lattice(dim, side, wrap)
-    indptr, indices = _lattice_csr(dim, side, wrap)
+    indptr, indices = _lattice_csr(_lattice_coordinates(dim, side), side,
+                                   wrap)
     assert indptr.dtype == ref.indptr.dtype
     assert indices.dtype == ref.indices.dtype
     assert np.array_equal(indptr, ref.indptr)
@@ -238,6 +240,23 @@ def test_multi_source_bfs_is_min_over_sources():
     assert np.array_equal(multi_source_bfs(g, sources), single)
 
 
+@pytest.mark.parametrize("g", [gen_lattice(2, 8), gen_sierpinski(3)],
+                         ids=["lattice", "gasket"])
+def test_node_ids_out_of_range_raise(g):
+    # a wrapped id would read another node's distances without a word
+    for bad in (-1, g.n):
+        calls = [lambda: g.distance_row(bad),
+                 lambda: g.distances(bad, np.arange(3)),
+                 lambda: g.distance(bad, 0), lambda: g.distance(0, bad),
+                 lambda: g.eccentricity(bad), lambda: bfs(g, bad),
+                 lambda: ball(g, bad, 1), lambda: shell(g, bad, 1, 0)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"node {bad} out of range"):
+                call()
+    with pytest.raises(ValueError, match="node 1000000000 out of range"):
+        g.eccentricity(10 ** 9)
+
+
 def test_eccentricity_ring():
     assert gen_lattice(1, 8).eccentricity(0) == 4
     assert gen_lattice(2, 4).eccentricity(5) == 4
@@ -251,6 +270,63 @@ def test_lattice_eccentricity_closed_form_equals_rows(dim, side, wrap):
     for u in sorted({0, 1, g.n // 3, g.n // 2, g.n - 2, g.n - 1}):
         want = int(plain.distance_row(u).max())
         assert g.eccentricity(u) == want == int(g.distance_row(u).max())
+
+
+@pytest.mark.parametrize("dim,side,wrap", LATTICES)
+def test_helpers_equal_on_lattice_and_its_bfs_copy(dim, side, wrap):
+    # the helpers threshold distance_row: closed form here, BFS rows there
+    g = gen_lattice(dim, side, wrap=wrap)
+    plain = without_hint(g)
+    for u in sorted({0, g.n // 3, g.n - 1}):
+        assert np.array_equal(bfs(g, u).dist, bfs(plain, u).dist)
+        for radius in range(4):
+            assert np.array_equal(ball(g, u, radius), ball(plain, u, radius))
+            assert np.array_equal(shell(g, u, 2, radius),
+                                  shell(plain, u, 2, radius))
+    for radius in range(3):
+        assert np.array_equal(pack_independent_balls(g, radius),
+                              pack_independent_balls(plain, radius))
+
+
+@st.composite
+def relabelled_lattices(draw):
+    """(dim, side, wrap, new id of each old id, whether that is a
+    symmetry of the lattice)."""
+    dim, side, wrap = draw(st.sampled_from(LATTICES))
+    n = side ** dim
+    if draw(st.booleans()):  # any relabelling of the ids
+        return (dim, side, wrap,
+                np.array(draw(st.permutations(range(n)))), False)
+    # a symmetry: permute the axes, reflect some, translate a torus
+    axes = draw(st.permutations(range(dim)))
+    flips = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    shifts = draw(st.lists(st.integers(0, side - 1), min_size=dim,
+                           max_size=dim)) if wrap else [0] * dim
+    coords = _lattice_coordinates(dim, side).astype(np.int64)[list(axes)]
+    coords = np.where(np.array(flips)[:, None], side - 1 - coords, coords)
+    coords = (coords + np.array(shifts)[:, None]) % side
+    perm = np.zeros(n, dtype=np.int64)
+    for axis in range(dim):
+        perm = perm * side + coords[axis]
+    return dim, side, wrap, perm, True
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=relabelled_lattices())
+def test_relabelled_lattice_rows_equal_bfs_rows(case):
+    dim, side, wrap, perm, symmetry = case
+    g = gen_lattice(dim, side, wrap=wrap)
+    edges = [(u, int(v)) for u in range(g.n) for v in g.neighbors(u) if u < v]
+    copy = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in edges])
+    if symmetry:  # a symmetry maps the CSR arrays onto themselves
+        assert copy.lattice_hint == g.lattice_hint
+    if copy.lattice_hint is not None:
+        for u in range(copy.n):
+            bfs_row = _bfs(copy.indptr, copy.indices, copy.n, (u,))
+            assert np.array_equal(copy.distance_row(u), bfs_row)
+    for u in sorted({0, g.n // 2, g.n - 1}):
+        assert np.array_equal(copy.distance_row(perm[u])[perm],
+                              g.distance_row(u))
 
 
 # -- balls ------------------------------------------------------------------

@@ -7,7 +7,7 @@ from scipy import stats
 from fgsw import (Graph, HighwayOverlay, OverlayError, OverlayParams,
                   build_overlay, gen_lattice, rng, route, route_batch,
                   sample_far_pairs, sample_highway_membership)
-from fgsw.overlay import MAX_MEMBERSHIP_EPOCHS
+from fgsw.overlay import MAX_DRAWS_PER_NODE, MAX_MEMBERSHIP_EPOCHS
 from fgsw.rng import DOMAIN_MEMBERSHIP, substream
 
 
@@ -29,6 +29,9 @@ def test_params_validation():
         OverlayParams(k=2, q=1, s=-1, seed=0)
     with pytest.raises(OverlayError, match="round\\(q\\*k\\) must be >= 1"):
         OverlayParams(k=1, q=0.4, s=1, seed=0)
+    with pytest.raises(OverlayError,
+                       match="round\\(q\\*k\\) = 16777217 is above the limit"):
+        OverlayParams(k=1, q=MAX_DRAWS_PER_NODE + 1, s=1, seed=0)
     for k, q, s in ((np.inf, 1, 1), (2, np.inf, 1), (1e200, 1e200, 1),
                     (2, 1, np.inf), (np.nan, 1, 1)):
         with pytest.raises(OverlayError, match="must be finite"):
@@ -40,6 +43,8 @@ def test_draws_per_node_rounds_half_up():
     assert OverlayParams(k=3, q=0.5, s=1, seed=0).draws_per_node == 2
     assert OverlayParams(k=2, q=0.25, s=1, seed=0).draws_per_node == 1
     assert OverlayParams(k=4, q=0.6, s=1, seed=0).draws_per_node == 2
+    assert OverlayParams(k=1, q=MAX_DRAWS_PER_NODE, s=1,
+                         seed=0).draws_per_node == MAX_DRAWS_PER_NODE
 
 
 # -- membership ---------------------------------------------------------------
@@ -92,7 +97,7 @@ def test_membership_gives_up_after_bounded_epochs():
     with pytest.raises(OverlayError,
                        match=f"after {MAX_MEMBERSHIP_EPOCHS}"):
         sample_highway_membership(
-            g, OverlayParams(k=1e6, q=1e6, s=1, seed=0))
+            g, OverlayParams(k=1e6, q=1e-6, s=1, seed=0))
 
 
 def test_k1_makes_everyone_highway():
@@ -360,6 +365,8 @@ def test_load_minimal_valid_file(tmp_path):
     ("2 1 1 0 0 3\nh 0 z=0.5 : 2\n", "fewer than 2 highway"),
     ("2 1 1 0 0 3\nh 0 z=0.5 : 1\nh 2 z=0.5 : 0\n", "non-highway contact"),
     ("2 1 1 0 0 3\nh 0 z=0.5 : 0\nh 2 z=0.5 : 0\n", "self or unsorted"),
+    ("1e12 1 1 0 0 3\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0\n",
+     "round\\(q\\*k\\) = 1000000000000 is above"),
     ("2 1 1 0 0 3\nh 0 z=0.5 : 2 2\nh 2 z=0.5 : 0\n", "self or unsorted"),
 ])
 def test_load_rejects_malformed_files(tmp_path, text, msg):

@@ -7,6 +7,7 @@ from fgsw import (HighwayOverlay, OverlayError, OverlayParams, RoutingError,
                   build_overlay, gen_lattice, gen_sierpinski, route,
                   route_batch, validate_trace, write_trace_csv)
 from fgsw.graph import BLOCK_CELLS, Graph
+from fgsw.overlay import MAX_DRAWS_PER_NODE
 from fgsw.rng import substream
 
 VARIANTS = ("plain", "highway-sticky", "highway-aware")
@@ -131,15 +132,6 @@ def test_aware_pointer_phase_may_move_away_from_target():
     # sticky never detours: greedy-local reaches the target first
     st = route(g, ov, 2, 0, "highway-sticky")
     assert st.path == [2, 1, 0]
-
-
-def test_route_accepts_precomputed_distance_row():
-    g = gen_lattice(2, 8)
-    ov = build_overlay(g, OverlayParams(k=3, q=2, s=2, seed=4))
-    row = g.distance_row(9)
-    a = route(g, ov, 60, 9, "highway-sticky")
-    b = route(g, ov, 60, 9, "highway-sticky", dist_to_target=row)
-    assert a.path == b.path
 
 
 def test_route_rejects_bad_arguments():
@@ -317,11 +309,14 @@ def test_load_rejects_contact_lists_over_round_qk(tmp_path):
 
 
 def test_route_batch_on_a_huge_round_qk_header(tmp_path):
-    # round(q*k) = 1e12 draws, but two highway nodes leave one contact
+    # round(q*k) = MAX_DRAWS_PER_NODE draws, but two highway nodes leave
+    # one contact, so the table is one column wide
     g = gen_lattice(1, 3, wrap=False)
     path = tmp_path / "huge.ov"
-    path.write_text("1e12 1 1 0 0 3\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0\n")
+    path.write_text(f"{MAX_DRAWS_PER_NODE} 1 1 0 0 3\n"
+                    f"h 0 z=0.5 : 2\nh 2 z=0.5 : 0\n")
     ov = HighwayOverlay.load(g, path)
+    assert ov.contact_table.shape == (2, 1)
     pairs = [(s, t) for s in range(3) for t in range(3)]
     for variant in VARIANTS:
         assert route_batch(g, ov, pairs, variant) \
