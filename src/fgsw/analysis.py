@@ -57,6 +57,18 @@ def _sample_nodes(n: int, samples: int, seed: int, tag: int) -> np.ndarray:
     return np.sort(stream.choice(n, size=samples, replace=False))
 
 
+def _growth_scale(base: float, alpha: float, theta: float = 1.0) -> float:
+    """base^(theta/alpha) for a growth dimension alpha; ValueError
+    unless alpha is finite and > 0 and the power fits a float."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
+    try:
+        return base ** (theta / alpha)
+    except OverflowError:
+        raise ValueError(f"alpha = {alpha} overflows the scale "
+                         f"{base:.6g}^({theta}/alpha)") from None
+
+
 def reference_eccentricity(graph: Graph) -> int:
     """Eccentricity of node 0; the radius bound used by preconditions."""
     return graph.eccentricity(0)
@@ -109,12 +121,14 @@ def ball_highway_stats(graph: Graph, overlay: HighwayOverlay, c: float,
 
     Rows are per sampled center; the expected scale is l^alpha / k.
     """
-    if c <= 0:
-        raise ValueError("c must be > 0")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be > 0 and finite, got {c}")
     n, k = graph.n, overlay.params.k
-    radius = math.ceil(c * (k * math.log(n)) ** (1.0 / alpha))
-    if radius > reference_eccentricity(graph):
-        raise ValueError(f"ball radius {radius} exceeds the graph radius")
+    reach = c * _growth_scale(k * math.log(n), alpha)
+    if reach > reference_eccentricity(graph):  # before ceil, which rejects inf
+        raise ValueError(f"ball radius c*(k ln n)^(1/alpha) = {reach:.4g} "
+                         f"exceeds the graph radius")
+    radius = math.ceil(reach)
     centers = _sample_nodes(n, samples, seed, tag=1)
     scale = radius ** alpha / k
     report = StatReport(
@@ -197,8 +211,8 @@ def highway_distance_stats(graph: Graph, overlay: HighwayOverlay,
     """Distance to the nearest highway node: max, mean, and the max
     normalized by (k ln n)^(1/alpha)."""
     n, k = graph.n, overlay.params.k
+    scale = _growth_scale(k * math.log(n), alpha)
     dist, _ = overlay.nearest_highway()
-    scale = (k * math.log(n)) ** (1.0 / alpha)
     report = StatReport(
         experiment="highway_distance",
         params={"n": n, "k": k, "alpha": alpha, "seed": overlay.params.seed,
@@ -225,6 +239,7 @@ def improvement_probability(graph: Graph, overlay: HighwayOverlay,
     if samples < 1:
         raise ValueError("need at least one sample")
     n, k = graph.n, overlay.params.k
+    scale = _growth_scale(k * math.log(n), alpha)
     hw = overlay.highway_ids
     report = StatReport(
         experiment="improvement_probability",
@@ -233,9 +248,10 @@ def improvement_probability(graph: Graph, overlay: HighwayOverlay,
         columns=("c", "empirical_p", "normalized", "samples_used",
                  "seed", "samples"))
     for ci, c in enumerate(c_values):
-        if c <= 1:
-            raise ValueError("improvement factors must be > 1")
-        min_d = c * (k * math.log(n)) ** (1.0 / alpha)
+        if not (math.isfinite(c) and c > 1):
+            raise ValueError(f"improvement factor c must be > 1 and "
+                             f"finite, got {c}")
+        min_d = c * scale
         stream = rng.substream(seed, rng.DOMAIN_SAMPLES, 3, ci)
         hits, normalized = [], []
         used = attempts = 0
@@ -269,8 +285,10 @@ def fresh_contact_probability(graph: Graph, overlay: HighwayOverlay,
     ln n / (k * z(u)). Valid for radius <= n^(FRESH_THETA/alpha)."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     n, k = graph.n, overlay.params.k
-    cap = n ** (FRESH_THETA / alpha)
+    cap = _growth_scale(n, alpha, FRESH_THETA)
     if radius > cap:
         raise ValueError(f"radius {radius} above n^(theta/alpha) = {cap:.1f}")
     hw = overlay.highway_ids

@@ -285,7 +285,7 @@ def _cmd_estimate_alpha(args) -> int:
     graph = Graph.load(args.graph)
     parts = args.grid.split(":")
     if len(parts) != 3:
-        raise OverlayError("--grid must be lo:hi:step")
+        raise ValueError("--grid must be lo:hi:step")
     grid = (float(parts[0]), float(parts[1]), float(parts[2]))
     est = analysis.estimate_alpha(graph, samples=args.samples,
                                   alpha_grid=grid, seed=args.seed)

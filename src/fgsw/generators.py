@@ -62,7 +62,7 @@ def gen_sierpinski(level: int) -> Graph:
         remap[2 * n + c1] = n + c2
         remap[2 * n + c0] = c2
         merged = remap[merged]
-        kept = np.unique(merged)
+        kept = np.delete(np.arange(3 * n), [n + c0, 2 * n + c0, 2 * n + c1])
         dense = np.full(3 * n, -1, dtype=np.int64)
         dense[kept] = np.arange(kept.size)
         edges = dense[merged]
@@ -142,20 +142,17 @@ def import_dimacs(path) -> DimacsImport:
 
     # every array is sized from the distinct endpoints (at most two per
     # arc), not from the declared n: a declared node without arcs is a
-    # singleton and loses to any edge's component
+    # singleton and loses to any edge's component. The CSR holds each
+    # arc once in both directions, so repeated and reverse arcs collapse.
     ids, ends = np.unique(np.asarray(heads + tails, dtype=np.int64),
                           return_inverse=True)
     n_ids = ids.size
     h, t = ends[:len(heads)], ends[len(heads):]
-    lo = np.minimum(h, t)
-    hi = np.maximum(h, t)
-    key = np.unique(lo * n_ids + hi)
-    lo, hi = key // n_ids, key % n_ids
+    indptr, indices = _build_csr(n_ids, np.concatenate([h, t]),
+                                 np.concatenate([t, h]))
 
     # keep the largest component; on a size tie, the one holding the
     # lowest node id (ids ascend, so their order is the file's)
-    indptr, indices = _build_csr(n_ids, np.concatenate([lo, hi]),
-                                 np.concatenate([hi, lo]))
     comp = _components(indptr, indices, n_ids)[1]
     sizes = np.bincount(comp)
     best = comp[np.flatnonzero(sizes[comp] == sizes.max())[0]]
@@ -165,10 +162,12 @@ def import_dimacs(path) -> DimacsImport:
         log.warning("%s: kept largest component (%d nodes), dropped %d",
                     path, keep.size, dropped)
 
+    # the kept edges are its arcs u -> v with u < v, in CSR order
     dense = np.full(n_ids, -1, dtype=np.int64)
     dense[keep] = np.arange(keep.size)
-    mask = comp[lo] == best
-    edges = np.stack([dense[lo[mask]], dense[hi[mask]]], axis=1)
+    u = np.repeat(np.arange(n_ids), np.diff(indptr))
+    mask = (u < indices) & (comp[u] == best)
+    edges = np.stack([dense[u[mask]], dense[indices[mask]]], axis=1)
     graph = Graph.from_edges(int(keep.size), edges)
     return DimacsImport(graph=graph, original_ids=ids[keep] + 1,
                         file_nodes=n_decl, dropped_nodes=dropped)

@@ -100,15 +100,9 @@ class Graph:
                 f"edge endpoint out of range [0, {n - 1}]")
         if np.any(arr[:, 0] == arr[:, 1]):
             raise GraphFormatError("self-loops are not allowed")
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        key = lo * n + hi
-        if np.unique(key).size != key.size:
+        indptr, indices = _build_csr(n, arr.ravel(), arr[:, ::-1].ravel())
+        if indices.size != 2 * len(arr):  # a repeated edge, either way round
             raise GraphFormatError("duplicate edge in input")
-
-        heads = np.concatenate([lo, hi])
-        tails = np.concatenate([hi, lo])
-        indptr, indices = _build_csr(n, heads, tails)
         g = cls(n, indptr, indices)
         comp = _components(indptr, indices, n)[0]
         if comp != 1:
@@ -247,14 +241,17 @@ class Graph:
 
 def _build_csr(n: int, heads: np.ndarray, tails: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays from directed arcs, neighbor lists sorted ascending."""
-    order = np.lexsort((tails, heads))
-    heads = heads[order]
-    tails = tails[order]
-    counts = np.bincount(heads, minlength=n)
+    """Canonical CSR arrays of directed arcs: each arc kept once, however
+    often listed, and each row ascending. One sort of the packed keys
+    head * n + tail does both; n * n < 2**63 for every n int32 indices
+    can address."""
+    key = (np.asarray(heads, dtype=np.int64) * n
+           + np.asarray(tails, dtype=np.int64))
+    key.sort()
+    key = key[np.diff(key, prepend=-1) != 0]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, tails.astype(np.int32)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return indptr, (key % n).astype(np.int32)
 
 
 def _lattice_coordinates(dim: int, side: int) -> np.ndarray:
@@ -269,10 +266,11 @@ def _lattice_coordinates(dim: int, side: int) -> np.ndarray:
 
 def _lattice_csr(coords: np.ndarray, side: int, wrap: bool
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of the row-major lattice with coordinates ``coords``,
-    laid out as ``_build_csr`` lays them out. Each node is joined to its
-    +-1 neighbours along every axis, across the boundary only when
-    ``wrap``; callers keep side >= 3 when wrapped, >= 2 otherwise."""
+    """CSR arrays of the row-major lattice with coordinates ``coords``
+    in ``_build_csr``'s canonical layout, sorted per row rather than
+    over all arcs. Each node is joined to its +-1 neighbours along
+    every axis, across the boundary only when ``wrap``; callers keep
+    side >= 3 when wrapped, >= 2 otherwise, so no arc repeats."""
     dim, n = coords.shape
     ids = np.arange(n, dtype=np.int64)
     nbrs = np.full((n, 2 * dim), n, dtype=np.int64)  # n: no neighbour
@@ -356,7 +354,7 @@ def _max_eccentricity(indptr: np.ndarray, indices: np.ndarray, n: int,
     """
     sources = np.asarray(sources, dtype=np.int64)
     heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    in_ptr, in_idx = _build_csr(n, indices.astype(np.int64), heads)
+    in_ptr, in_idx = _build_csr(n, indices, heads)
     in_idx = in_idx.astype(np.intp)  # np.take converts other dtypes per call
     # reduceat misreads empty segments, so only nodes with an in-arc
     # take part in a level; the others are reached only as sources

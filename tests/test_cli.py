@@ -331,3 +331,33 @@ def test_huge_round_qk_exit_2(workdir, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "round(q*k) = 1000000000000 is above the limit" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "balls", "--alpha", "0"], "alpha must be > 0 and finite"),
+    (["stats", "highway-dist", "--alpha", "0"], "alpha must be > 0"),
+    (["stats", "improve", "--alpha", "0"], "alpha must be > 0"),
+    (["stats", "fresh", "--alpha", "0"], "alpha must be > 0"),
+    (["stats", "balls", "--alpha", "-1"], "alpha must be > 0"),
+    (["stats", "highway-dist", "--alpha", "-1"], "alpha must be > 0"),
+    (["stats", "improve", "--alpha", "-2"], "alpha must be > 0"),
+    (["stats", "balls", "--alpha", "nan"], "alpha must be > 0"),
+    (["stats", "balls", "--alpha", "1e-5"], "alpha = 1e-05 overflows"),
+    (["stats", "fresh", "--alpha", "1e-5"], "alpha = 1e-05 overflows"),
+    (["stats", "balls", "--c", "inf"], "c must be > 0 and finite, got inf"),
+    (["stats", "improve", "--c-list", "nan"],
+     "improvement factor c must be > 1 and finite, got nan"),
+    (["stats", "fresh", "--radius", "-3"], "radius must be >= 0, got -3"),
+    (["estimate-alpha", "--grid", "1:2"], "--grid must be lo:hi:step"),
+])
+def test_degenerate_stat_parameters_exit_2(workdir, tmp_path, capsys, argv,
+                                           message):
+    files = ["--graph", str(workdir / "torus8.txt")]
+    if argv[0] == "stats":
+        files += ["--overlay", str(workdir / "torus8.ov")]
+    out = tmp_path / "out.csv"
+    assert main(argv + files + ["--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fgsw: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()

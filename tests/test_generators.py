@@ -101,6 +101,36 @@ def test_sierpinski_deterministic():
     assert np.array_equal(a.indices, b.indices)
 
 
+def unique_glued_sierpinski(level):
+    """The gasket numbered by the original gluing, which found each
+    level's surviving ids with np.unique over the glued edges."""
+    edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
+    corners = np.array([0, 1, 2], dtype=np.int64)
+    n = 3
+    for _ in range(level - 1):
+        c0, c1, c2 = corners
+        merged = np.concatenate([edges + off for off in (0, n, 2 * n)])
+        remap = np.arange(3 * n, dtype=np.int64)
+        remap[n + c0] = c1
+        remap[2 * n + c1] = n + c2
+        remap[2 * n + c0] = c2
+        merged = remap[merged]
+        kept = np.unique(merged)
+        dense = np.full(3 * n, -1, dtype=np.int64)
+        dense[kept] = np.arange(kept.size)
+        edges = dense[merged]
+        corners = dense[np.array([c0, n + c1, 2 * n + c2])]
+        n = kept.size
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_sierpinski_numbering_matches_unique_gluing(level):
+    g, want = gen_sierpinski(level), unique_glued_sierpinski(level)
+    assert np.array_equal(g.indptr, want.indptr)
+    assert np.array_equal(g.indices, want.indices)
+
+
 def test_sierpinski_rejects_bad_level():
     with pytest.raises(ValueError, match="level must be >= 1"):
         gen_sierpinski(0)

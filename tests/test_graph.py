@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fgsw import (Graph, GraphFormatError, LatticeHint, ball, ball_profile,
                   bfs, gen_lattice, gen_sierpinski, multi_source_bfs,
                   pack_independent_balls, shell)
-from fgsw.graph import _bfs, _lattice_coordinates, _lattice_csr
+from fgsw.graph import _bfs, _build_csr, _lattice_coordinates, _lattice_csr
 from fgsw.rng import substream
 
 # (dim, side, wrap): every dim at its minimum sides and at larger ones
@@ -35,8 +35,9 @@ def to_adj(graph):
     return {u: [int(v) for v in graph.neighbors(u)] for u in range(graph.n)}
 
 
-def random_connected_graph(n, extra_edges, seed):
-    """Random tree plus extra random non-parallel edges."""
+def random_connected_edges(n, extra_edges, seed):
+    """Sorted edges (u < v) of a random tree plus extra random
+    non-parallel edges."""
     stream = substream(seed, 99)
     edges = set()
     for v in range(1, n):
@@ -46,7 +47,11 @@ def random_connected_graph(n, extra_edges, seed):
         u, v = (int(x) for x in stream.integers(0, n, size=2))
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(n, sorted(edges))
+    return sorted(edges)
+
+
+def random_connected_graph(n, extra_edges, seed):
+    return Graph.from_edges(n, random_connected_edges(n, extra_edges, seed))
 
 
 # -- construction and validation ------------------------------------------
@@ -83,6 +88,51 @@ def test_from_edges_rejects_disconnected_and_counts_components():
 def test_neighbors_sorted_ascending():
     g = Graph.from_edges(5, [(4, 0), (0, 2), (1, 0), (0, 3), (1, 2)])
     assert list(g.neighbors(0)) == [1, 2, 3, 4]
+
+
+@st.composite
+def arc_lists(draw):
+    """(n, arcs): random directed arcs, some listed again, in any order."""
+    n = draw(st.integers(1, 300))
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node), max_size=200))
+    if arcs:
+        arcs += draw(st.lists(st.sampled_from(arcs), max_size=100))
+    return n, draw(st.permutations(arcs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=arc_lists())
+def test_build_csr_is_the_sorted_arc_set(case):
+    n, arcs = case
+    heads = np.array([h for h, _ in arcs], dtype=np.int64)
+    tails = np.array([t for _, t in arcs], dtype=np.int64)
+    indptr, indices = _build_csr(n, heads, tails)
+    want = sorted(set(arcs))
+    assert indptr.dtype == np.int64 and indices.dtype == np.int32
+    assert np.array_equal(indptr, np.searchsorted([h for h, _ in want],
+                                                  np.arange(n + 1)))
+    assert indices.tolist() == [t for _, t in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 60), extra=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_from_edges_ignores_order_and_rejects_repeats(n, extra, seed, data):
+    edges = random_connected_edges(n, min(extra, (n - 1) * (n - 2) // 2),
+                                   seed)
+    g = Graph.from_edges(n, edges)
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                               max_size=len(edges)))
+    shuffled = data.draw(st.permutations(
+        [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]))
+    h = Graph.from_edges(n, shuffled)
+    assert np.array_equal(g.indptr, h.indptr)
+    assert np.array_equal(g.indices, h.indices)
+    u, v = data.draw(st.sampled_from(edges))
+    again = (v, u) if data.draw(st.booleans()) else (u, v)
+    with pytest.raises(GraphFormatError, match="duplicate edge"):
+        Graph.from_edges(n, shuffled + [again])
 
 
 # -- lattice recognition -----------------------------------------------------
