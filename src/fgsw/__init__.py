@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .graph import (DistanceField, Graph, GraphFormatError, LatticeHint,
-                    ball, ball_profile, bfs, multi_source_bfs,
+from .graph import (Graph, GraphFormatError, LatticeHint, ball,
+                    ball_profile, bfs, multi_source_bfs,
                     pack_independent_balls, shell)
 from .generators import DimacsImport, gen_lattice, gen_sierpinski, import_dimacs
 from .overlay import (HighwayOverlay, OverlayError, OverlayParams,
@@ -18,7 +18,7 @@ from .analysis import (DiameterResult, DimEstimate, StatReport,
                        z_stats)
 
 __all__ = [
-    "DistanceField", "Graph", "GraphFormatError", "LatticeHint",
+    "Graph", "GraphFormatError", "LatticeHint",
     "ball", "ball_profile", "bfs", "multi_source_bfs",
     "pack_independent_balls", "shell",
     "DimacsImport", "gen_lattice", "gen_sierpinski", "import_dimacs",

@@ -57,16 +57,22 @@ def _sample_nodes(n: int, samples: int, seed: int, tag: int) -> np.ndarray:
     return np.sort(stream.choice(n, size=samples, replace=False))
 
 
+def _alpha_power(base: float, exponent: float, alpha: float) -> float:
+    """base^exponent for an exponent made from the growth dimension
+    alpha; ValueError naming alpha when the power overflows a float."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ValueError(f"alpha = {alpha} overflows the power "
+                         f"{base:.6g}^{exponent:.6g}") from None
+
+
 def _growth_scale(base: float, alpha: float, theta: float = 1.0) -> float:
     """base^(theta/alpha) for a growth dimension alpha; ValueError
     unless alpha is finite and > 0 and the power fits a float."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
-    try:
-        return base ** (theta / alpha)
-    except OverflowError:
-        raise ValueError(f"alpha = {alpha} overflows the scale "
-                         f"{base:.6g}^({theta}/alpha)") from None
+    return _alpha_power(base, theta / alpha, alpha)
 
 
 def reference_eccentricity(graph: Graph) -> int:
@@ -130,7 +136,7 @@ def ball_highway_stats(graph: Graph, overlay: HighwayOverlay, c: float,
                          f"exceeds the graph radius")
     radius = math.ceil(reach)
     centers = _sample_nodes(n, samples, seed, tag=1)
-    scale = radius ** alpha / k
+    scale = _alpha_power(radius, alpha, alpha) / k
     report = StatReport(
         experiment="ball_highway",
         params={"n": n, "k": k, "q": overlay.params.q, "s": overlay.params.s,
@@ -252,6 +258,7 @@ def improvement_probability(graph: Graph, overlay: HighwayOverlay,
             raise ValueError(f"improvement factor c must be > 1 and "
                              f"finite, got {c}")
         min_d = c * scale
+        weight = _alpha_power(c + 1, alpha, alpha)
         stream = rng.substream(seed, rng.DOMAIN_SAMPLES, 3, ci)
         hits, normalized = [], []
         used = attempts = 0
@@ -267,7 +274,7 @@ def improvement_probability(graph: Graph, overlay: HighwayOverlay,
                                                  tag=used + ci * samples)
             ok = bool(np.any(dist_t[fresh] <= d_ut / c))
             hits.append(ok)
-            normalized.append(ok * (c + 1) ** alpha * overlay.zvalue(u))
+            normalized.append(ok * weight * overlay.zvalue(u))
             used += 1
         if used == 0:
             raise ValueError(

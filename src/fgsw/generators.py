@@ -162,12 +162,12 @@ def import_dimacs(path) -> DimacsImport:
         log.warning("%s: kept largest component (%d nodes), dropped %d",
                     path, keep.size, dropped)
 
-    # the kept edges are its arcs u -> v with u < v, in CSR order
-    dense = np.full(n_ids, -1, dtype=np.int64)
-    dense[keep] = np.arange(keep.size)
-    u = np.repeat(np.arange(n_ids), np.diff(indptr))
-    mask = (u < indices) & (comp[u] == best)
-    edges = np.stack([dense[u[mask]], dense[indices[mask]]], axis=1)
-    graph = Graph.from_edges(int(keep.size), edges)
+    # a component is closed, so its own rows, renumbered in ascending
+    # order (a kept id's rank in ``keep``), are already canonical CSR
+    degree = np.diff(indptr)
+    arcs = indices[np.repeat(comp == best, degree)]
+    graph = Graph(int(keep.size),
+                  np.concatenate([[0], np.cumsum(degree[keep])]),
+                  np.searchsorted(keep, arcs).astype(np.int32))
     return DimacsImport(graph=graph, original_ids=ids[keep] + 1,
                         file_nodes=n_decl, dropped_nodes=dropped)

@@ -3,21 +3,25 @@
 Hop distance is the only metric in the package, and ``Graph`` holds it:
 ``distance_row(u)``, ``distances(u, targets)``, ``distance(u, v)``,
 ``distances_to(targets)`` (a lookup into a block of target rows) and
-``eccentricity(u)``; a scalar node id outside [0, n) is a ValueError. A
-graph whose CSR arrays equal those of a row-major lattice recognises
-itself as one, whatever built it, keeps the coordinates that check
-built, and evaluates all five in closed form, all but the first without
-building a row (tests assert the equivalence). Otherwise ``_bfs``,
-scipy's csgraph Dijkstra over unit-weight arcs, builds the rows; it
-serves only single rows, row blocks and ``multi_source_bfs``. ``bfs``,
-``ball``, ``shell`` and ``pack_independent_balls`` threshold
-``distance_row``. Components come from csgraph over the same arcs, and
-diameters from ``_max_eccentricity``, a bit-parallel multi-source BFS
-that builds no rows.
+``eccentricity(u)``. ``Graph._node`` is the package's one check of a
+scalar node id, which the overlay and ``route`` call too: an id
+outside [0, n) is a ValueError and one that is not an integer (a
+float, say) a TypeError; numpy integers pass. A graph whose CSR arrays
+equal those of a row-major lattice recognises itself as one, whatever
+built it, keeps the coordinates that check built, and evaluates all
+five in closed form, all but the first without building a row (tests
+assert the equivalence). Otherwise ``_bfs``, scipy's csgraph Dijkstra
+over unit-weight arcs, builds the rows; it serves only single rows, row
+blocks and ``multi_source_bfs``. ``bfs`` is ``distance_row``, and
+``ball``, ``shell`` and ``pack_independent_balls`` threshold it.
+Components come from csgraph over the same arcs, and diameters from
+``_max_eccentricity``, a bit-parallel multi-source BFS that builds no
+rows.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -34,14 +38,6 @@ BLOCK_CELLS = 1 << 16
 
 class GraphFormatError(ValueError):
     """Malformed graph data (file contents or edge lists)."""
-
-
-@dataclass(frozen=True)
-class DistanceField:
-    """Hop distances from a fixed source; UNREACHABLE marks no path."""
-
-    source: int
-    dist: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,9 @@ class Graph:
     # -- metric -------------------------------------------------------
 
     def _node(self, u: int) -> int:
-        """u as an int; ValueError unless 0 <= u < n."""
-        u = int(u)
+        """u as an int; TypeError unless u is an integer, ValueError
+        unless 0 <= u < n."""
+        u = operator.index(u)
         if not 0 <= u < self.n:
             raise ValueError(f"node {u} out of range")
         return u
@@ -395,9 +392,10 @@ def _components(indptr: np.ndarray, indices: np.ndarray, n: int
                                         connection="strong")
 
 
-def bfs(graph: Graph, source: int) -> DistanceField:
-    """Hop distances from ``source``: its ``distance_row``."""
-    return DistanceField(source, graph.distance_row(source))
+def bfs(graph: Graph, source: int) -> np.ndarray:
+    """Hop distances from ``source``: its ``distance_row``. Kept only
+    because the benchmark's tracer wraps it by name."""
+    return graph.distance_row(source)
 
 
 def multi_source_bfs(graph: Graph, sources: Sequence[int]) -> np.ndarray:

@@ -140,9 +140,7 @@ class HighwayOverlay:
         self._cache[u] = (z, row[:contacts.size])
 
     def _require_highway(self, u: int) -> None:
-        if not 0 <= u < self.graph.n:
-            raise ValueError(f"node {u} out of range")
-        if not self.is_highway[u]:
+        if not self.is_highway[self.graph._node(u)]:
             raise ValueError(f"node {u} is not a highway node")
 
     def zvalue(self, u: int) -> float:
@@ -172,8 +170,12 @@ class HighwayOverlay:
         return self._draw(u, count, rng.DOMAIN_REDRAW, self.epoch, u, tag)[1]
 
     def contact_rows(self, nodes: np.ndarray) -> np.ndarray:
-        """Padded contact-table rows of highway ``nodes``, built on demand."""
+        """Padded contact-table rows of highway ``nodes``, built on
+        demand; ``_require_highway``'s error for the first other node."""
         rank = np.searchsorted(self.highway_ids, nodes)
+        found = self.highway_ids[np.minimum(rank, self.highway_ids.size - 1)]
+        if not np.array_equal(found, nodes):
+            self._require_highway(np.asarray(nodes)[found != nodes][0])
         for r in np.unique(rank[self.contact_table[rank, 0] < 0]):
             self._materialize(int(self.highway_ids[r]))
         return self.contact_table[rank]

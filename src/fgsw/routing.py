@@ -137,9 +137,7 @@ def route(graph: Graph, overlay: HighwayOverlay, source: int, target: int,
     ``distance_row``; always succeeds on a connected graph."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    for node in (source, target):
-        if not 0 <= node < graph.n:
-            raise ValueError(f"node {node} out of range")
+    source = graph._node(source)
     dist_t = graph.distance_row(target)
     trace = RoutingTrace(source=source, target=target, variant=variant,
                          path=[source], dist_st=int(dist_t[source]))
@@ -183,7 +181,10 @@ def route_batch(graph: Graph, overlay: HighwayOverlay,
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    ends = np.asarray(pairs)
+    if ends.size and ends.dtype.kind not in "iu":
+        raise TypeError(f"node ids must be integers, got {ends.dtype}")
+    ends = ends.astype(np.int64).reshape(-1, 2)
     bad = np.flatnonzero((ends < 0) | (ends >= graph.n))
     if bad.size:
         raise ValueError(f"node {int(ends.flat[bad[0]])} out of range")
@@ -330,19 +331,29 @@ def _neighbour_table(graph: Graph) -> np.ndarray:
 
 def validate_trace(graph: Graph, overlay: HighwayOverlay,
                    trace: RoutingTrace) -> None:
-    """Raise if any hop is not a real edge / real contact of its kind."""
+    """Raise if any hop is not a real edge / real contact of its kind,
+    or has the wrong phase: a long-range hop is on-highway, and a local
+    hop is to-target once the walk has stood on a highway node (its
+    start included), to-highway before."""
     if trace.path[0] != trace.source or trace.path[-1] != trace.target:
         raise RoutingError("trace endpoints do not match")
     if len(trace.edge_kinds) != trace.hops or len(trace.phases) != trace.hops:
         raise RoutingError("trace labels out of sync with path")
+    seen_highway = False
     for i in range(trace.hops):
         a, b = trace.path[i], trace.path[i + 1]
+        seen_highway = seen_highway or bool(overlay.is_highway[a])
         if trace.edge_kinds[i] == KIND_LOCAL:
             if b not in graph.neighbors(a):
                 raise RoutingError(f"hop {a}->{b} is not a local edge")
+            phase = PHASE_TO_TARGET if seen_highway else PHASE_TO_HIGHWAY
         else:
             if not overlay.is_highway[a] or b not in overlay.contacts(a):
                 raise RoutingError(f"hop {a}->{b} is not a contact")
+            phase = PHASE_ON_HIGHWAY
+        if trace.phases[i] != phase:
+            raise RoutingError(f"hop {a}->{b} has phase "
+                               f"{trace.phases[i]!r}, not {phase!r}")
 
 
 def write_trace_csv(traces: Sequence[RoutingTrace], path) -> None:

@@ -349,6 +349,8 @@ def test_huge_round_qk_exit_2(workdir, tmp_path, capsys, command):
      "improvement factor c must be > 1 and finite, got nan"),
     (["stats", "fresh", "--radius", "-3"], "radius must be >= 0, got -3"),
     (["estimate-alpha", "--grid", "1:2"], "--grid must be lo:hi:step"),
+    (["stats", "balls", "--alpha", "1000"], "alpha = 1000.0 overflows"),
+    (["stats", "improve", "--alpha", "1000"], "alpha = 1000.0 overflows"),
 ])
 def test_degenerate_stat_parameters_exit_2(workdir, tmp_path, capsys, argv,
                                            message):

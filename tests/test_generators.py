@@ -4,9 +4,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from fgsw import (Graph, GraphFormatError, gen_lattice, gen_sierpinski,
                   import_dimacs)
+from fgsw.graph import _build_csr, _components
 
 
 # -- lattices ----------------------------------------------------------------
@@ -220,6 +222,55 @@ def test_dimacs_outputs_pinned(tmp_path, caplog):
     assert imp.file_nodes == 12 and imp.dropped_nodes == 8
     assert [r.getMessage() for r in caplog.records] == [
         f"{p}: kept largest component (4 nodes), dropped 8"]
+
+
+def edge_list_import(n_decl, arcs):
+    """(graph, original ids, dropped nodes) of a DIMACS import built the
+    way import_dimacs once did: the kept component's edges as a list
+    through Graph.from_edges."""
+    heads = [u - 1 for u, v in arcs if u != v]
+    tails = [v - 1 for u, v in arcs if u != v]
+    ids, ends = np.unique(np.asarray(heads + tails, dtype=np.int64),
+                          return_inverse=True)
+    h, t = ends[:len(heads)], ends[len(heads):]
+    indptr, indices = _build_csr(ids.size, np.concatenate([h, t]),
+                                 np.concatenate([t, h]))
+    comp = _components(indptr, indices, ids.size)[1]
+    sizes = np.bincount(comp)
+    best = comp[np.flatnonzero(sizes[comp] == sizes.max())[0]]
+    keep = np.flatnonzero(comp == best)
+    dense = np.full(ids.size, -1, dtype=np.int64)
+    dense[keep] = np.arange(keep.size)
+    u = np.repeat(np.arange(ids.size), np.diff(indptr))
+    mask = (u < indices) & (comp[u] == best)
+    edges = np.stack([dense[u[mask]], dense[indices[mask]]], axis=1)
+    return (Graph.from_edges(int(keep.size), edges), ids[keep] + 1,
+            n_decl - keep.size)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_decl=st.integers(2, 30), data=st.data())
+def test_dimacs_rows_equal_edge_list_import(tmp_path, n_decl, data):
+    # repeated, reverse and self arcs over several components
+    node = st.integers(1, n_decl)
+    arcs = data.draw(st.lists(st.tuples(node, node), min_size=1,
+                              max_size=3 * n_decl))
+    arcs += data.draw(st.lists(st.sampled_from(arcs), max_size=5))
+    arcs += [(v, u) for u, v in data.draw(st.lists(st.sampled_from(arcs),
+                                                   max_size=5))]
+    assume(any(u != v for u, v in arcs))
+    path = tmp_path / "r.gr"
+    write_dimacs(path, n_decl, [(u, v, 1) for u, v in arcs])
+    imp = import_dimacs(path)
+    graph, original_ids, dropped = edge_list_import(n_decl, arcs)
+    for got, want in ((imp.graph.indptr, graph.indptr),
+                      (imp.graph.indices, graph.indices),
+                      (imp.original_ids, original_ids)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert imp.graph.n == graph.n
+    assert imp.graph.lattice_hint == graph.lattice_hint
+    assert (imp.dropped_nodes, imp.file_nodes) == (dropped, n_decl)
 
 
 def test_dimacs_huge_declared_node_count(tmp_path):

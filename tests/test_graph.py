@@ -193,13 +193,13 @@ def test_non_lattices_get_no_hint():
 
 def test_bfs_path_graph():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert list(bfs(g, 0).dist) == [0, 1, 2]
+    assert list(bfs(g, 0)) == [0, 1, 2]
 
 
 def test_bfs_source_distance_zero():
     g = random_connected_graph(40, 30, seed=1)
     for u in (0, 7, 39):
-        assert bfs(g, u).dist[u] == 0
+        assert bfs(g, u)[u] == 0
 
 
 def test_4x4_wrap_distance_to_opposite_corner():
@@ -328,7 +328,7 @@ def test_helpers_equal_on_lattice_and_its_bfs_copy(dim, side, wrap):
     g = gen_lattice(dim, side, wrap=wrap)
     plain = without_hint(g)
     for u in sorted({0, g.n // 3, g.n - 1}):
-        assert np.array_equal(bfs(g, u).dist, bfs(plain, u).dist)
+        assert np.array_equal(bfs(g, u), bfs(plain, u))
         for radius in range(4):
             assert np.array_equal(ball(g, u, radius), ball(plain, u, radius))
             assert np.array_equal(shell(g, u, 2, radius),

@@ -227,6 +227,25 @@ def test_contact_queries_reject_non_highway_and_bad_ids():
         ov.zvalue(-1)
 
 
+def test_contact_rows_refuse_nodes_off_the_highway():
+    # node 0 would otherwise read highway node 4's row, the next in order
+    g = gen_lattice(2, 8)
+    ov = build_overlay(g, OverlayParams(k=3, q=2, s=2, seed=1),
+                       materialize=False)
+    assert not ov.is_highway[0] and ov.highway_ids[0] == 4
+    with pytest.raises(ValueError, match="^node 0 is not a highway node$"):
+        ov.contact_rows([0])
+    with pytest.raises(ValueError, match="^node 0 is not a highway node$"):
+        ov.contact_rows(np.array([4, 0, 4]))
+    for bad in (-1, g.n):
+        with pytest.raises(ValueError, match=f"^node {bad} out of range$"):
+            ov.contact_rows([4, bad])
+    rows = ov.contact_rows(ov.highway_ids)
+    for u, row in zip(ov.highway_ids, rows):
+        contacts = ov.contacts(int(u))
+        assert np.array_equal(row[:contacts.size], contacts)
+
+
 def test_build_overlay_rejects_trivial_graph():
     g = gen_lattice(1, 2, wrap=False)
     flags = np.array([True, True])

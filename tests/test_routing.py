@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgsw import (HighwayOverlay, OverlayError, OverlayParams, RoutingError,
                   build_overlay, gen_lattice, gen_sierpinski, route,
@@ -9,6 +10,7 @@ from fgsw import (HighwayOverlay, OverlayError, OverlayParams, RoutingError,
 from fgsw.graph import BLOCK_CELLS, Graph
 from fgsw.overlay import MAX_DRAWS_PER_NODE
 from fgsw.rng import substream
+from test_graph import random_connected_graph
 
 VARIANTS = ("plain", "highway-sticky", "highway-aware")
 
@@ -145,6 +147,27 @@ def test_route_rejects_bad_arguments():
         route(g, ov, -1, 3)
 
 
+def test_node_ids_must_be_integers():
+    # a float id used to be truncated to another node or to fail deep
+    # inside numpy
+    g = gen_lattice(2, 8)
+    ov = build_overlay(g, OverlayParams(k=3, q=2, s=2, seed=1))
+    h = int(ov.highway_ids[0])
+    calls = [lambda: g.distance(2.5, 0), lambda: g.distance_row(2.7),
+             lambda: route(g, ov, 2.5, 9), lambda: route(g, ov, 2, 9.0),
+             lambda: ov.contacts(float(h)),
+             lambda: route_batch(g, ov, [(2.5, 9.9)])]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    # numpy integers pass, and an empty batch is still empty
+    assert g.distance(np.int64(2), np.int32(0)) == 2
+    assert route(g, ov, np.int64(2), np.uint8(9)) == route(g, ov, 2, 9)
+    assert route_batch(g, ov, np.array([[2, 9]], dtype=np.uint16)) == \
+        [route(g, ov, 2, 9)]
+    assert route_batch(g, ov, []) == []
+
+
 # -- invariants over randomized instances --------------------------------------
 
 
@@ -211,6 +234,14 @@ def test_validate_rejects_tampered_traces():
     with pytest.raises(RoutingError, match="out of sync"):
         validate_trace(g, ov, bad)
 
+    assert tr.phases == ["to-highway", "on-highway", "to-target"]
+    for phases in (tr.phases[::-1], tr.phases[1:] + tr.phases[:1],
+                   ["to-highway", "bogus", "to-target"]):
+        bad = route(g, ov, 1, 17, "highway-sticky")
+        bad.phases = phases
+        with pytest.raises(RoutingError, match="has phase"):
+            validate_trace(g, ov, bad)
+
     validate_trace(g, ov, tr)  # untouched trace still validates
 
 
@@ -265,6 +296,32 @@ def test_route_batch_equals_route_trace_by_trace():
                 want = scalar_traces(g, build_overlay(g, params, eager),
                                      pairs, variant)
                 assert got == want, (g.n, seed, eager, variant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 60), extra=st.integers(0, 40),
+       k=st.floats(1, 4), q=st.floats(0.5, 3), s=st.floats(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       ends=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)),
+                     min_size=1, max_size=12))
+def test_routing_invariants_on_random_graphs(n, extra, k, q, s, seed, ends):
+    # random connected graphs, mostly irregular; with k <= n / 3 three
+    # highway nodes are expected, so 16 membership epochs all but
+    # never come up short
+    g = random_connected_graph(n, min(extra, (n - 1) * (n - 2) // 2), seed)
+    params = OverlayParams(k=min(k, max(1.0, n / 3)), q=q, s=s, seed=seed)
+    pairs = [(a % n, b % n) for a, b in ends] + [(ends[0][0] % n,) * 2]
+    for variant in VARIANTS:
+        # each side builds its own lazy overlay and so its own contacts
+        got = route_batch(g, build_overlay(g, params, False), pairs, variant)
+        ov = build_overlay(g, params, False)
+        assert got == scalar_traces(g, ov, pairs, variant), variant
+        for tr in got:
+            validate_trace(g, ov, tr)
+            if variant == "highway-aware":
+                assert tr.hops_to_highway <= ov.nearest_highway()[0][tr.source]
+            else:
+                assert np.all(np.diff(g.distance_row(tr.target)[tr.path]) < 0)
 
 
 def test_route_batch_spans_blocks_without_hint():
