@@ -4,16 +4,17 @@ Hop distance is the only metric in the package, and ``Graph`` holds it:
 ``distance_row(u)``, ``distances(u, targets)``, ``distance(u, v)``,
 ``distances_to(targets)`` (a lookup into a block of target rows) and
 ``eccentricity(u)``. ``Graph._node`` is the package's one check of a
-scalar node id, which the overlay and ``route`` call too: an id
-outside [0, n) is a ValueError and one that is not an integer (a
-float, say) a TypeError; numpy integers pass. A graph whose CSR arrays
-equal those of a row-major lattice recognises itself as one, whatever
-built it, keeps the coordinates that check built, and evaluates all
-five in closed form, all but the first without building a row (tests
-assert the equivalence). Otherwise ``_bfs``, scipy's csgraph Dijkstra
-over unit-weight arcs, builds the rows; it serves only single rows, row
-blocks and ``multi_source_bfs``. ``bfs`` is ``distance_row``, and
-``ball``, ``shell`` and ``pack_independent_balls`` threshold it.
+scalar node id, which the overlay and ``route`` call too: an id outside
+[0, n) is a ValueError and one that is not an integer (a float, say) a
+TypeError; numpy integers pass. ``Graph._nodes`` is its array form,
+which ``route_batch`` and ``contact_rows`` call. A graph whose CSR
+arrays equal those of a row-major lattice recognises itself as one,
+whatever built it, keeps the coordinates that check built, and
+evaluates all five in closed form, all but the first without building a
+row (tests assert the equivalence). Otherwise ``_bfs``, scipy's csgraph
+Dijkstra over unit-weight arcs, builds the rows; it serves only single
+rows, row blocks and ``multi_source_bfs``. ``bfs`` is ``distance_row``,
+and ``ball``, ``shell`` and ``pack_independent_balls`` threshold it.
 Components come from csgraph over the same arcs, and diameters from
 ``_max_eccentricity``, a bit-parallel multi-source BFS that builds no
 rows.
@@ -115,6 +116,19 @@ class Graph:
         if not 0 <= u < self.n:
             raise ValueError(f"node {u} out of range")
         return u
+
+    def _nodes(self, nodes) -> np.ndarray:
+        """``_node`` over an array: the ids as int64; TypeError unless a
+        non-empty array holds integers, ValueError for the first id
+        outside [0, n)."""
+        ids = np.asarray(nodes)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise TypeError(f"node ids must be integers, got {ids.dtype}")
+        ids = ids.astype(np.int64)
+        bad = np.flatnonzero((ids < 0) | (ids >= self.n))
+        if bad.size:
+            raise ValueError(f"node {int(ids.flat[bad[0]])} out of range")
+        return ids
 
     def _lattice_distances(self, a: np.ndarray, b: np.ndarray
                            ) -> np.ndarray:

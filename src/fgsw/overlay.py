@@ -171,11 +171,12 @@ class HighwayOverlay:
 
     def contact_rows(self, nodes: np.ndarray) -> np.ndarray:
         """Padded contact-table rows of highway ``nodes``, built on
-        demand; ``_require_highway``'s error for the first other node."""
+        demand; ``Graph._nodes``'s errors, then ``_require_highway``'s."""
+        nodes = self.graph._nodes(nodes)
         rank = np.searchsorted(self.highway_ids, nodes)
         found = self.highway_ids[np.minimum(rank, self.highway_ids.size - 1)]
         if not np.array_equal(found, nodes):
-            self._require_highway(np.asarray(nodes)[found != nodes][0])
+            self._require_highway(nodes[found != nodes][0])
         for r in np.unique(rank[self.contact_table[rank, 0] < 0]):
             self._materialize(int(self.highway_ids[r]))
         return self.contact_table[rank]

@@ -20,8 +20,9 @@ Every step of ``plain`` and ``highway-sticky``, and every step of
 ``highway-aware`` after its pointer segment, strictly decreases the
 distance to the target.
 
-Every hop is labeled with its edge kind (local / long-range) and phase
-(to-highway / on-highway / to-target).
+Every hop is labeled with its edge kind (local / long-range); its phase
+(to-highway / on-highway / to-target) follows from the kinds and the
+trace's ``hops_to_highway``, as ``RoutingTrace.phases`` says.
 
 ``route`` walks one pair hop by hop; its hop rule, ``_next_hop``, is the
 reference. ``route_batch`` applies the same rule to a whole batch in
@@ -49,11 +50,8 @@ PHASE_TO_HIGHWAY = "to-highway"
 PHASE_ON_HIGHWAY = "on-highway"
 PHASE_TO_TARGET = "to-target"
 
-# labels by the codes route_batch stores in its int8 buffers: kind 1 is
-# long-range, phase 0/1/2 is to-highway/on-highway/to-target
+# labels of the kind codes in route_batch's int8 buffer: 1 is long-range
 _KINDS = np.array([KIND_LOCAL, KIND_LONG], dtype=object)
-_PHASES = np.array([PHASE_TO_HIGHWAY, PHASE_ON_HIGHWAY, PHASE_TO_TARGET],
-                   dtype=object)
 
 _FAR = np.iinfo(np.int32).max  # beyond every hop distance
 
@@ -73,7 +71,7 @@ class RoutingTrace:
     variant: str
     path: list[int]
     edge_kinds: list[str] = field(default_factory=list)
-    phases: list[str] = field(default_factory=list)
+    hops_to_highway: int = 0  # before the walk first stands on the highway
     dist_st: int = 0
 
     @property
@@ -81,16 +79,27 @@ class RoutingTrace:
         return len(self.path) - 1
 
     @property
-    def hops_to_highway(self) -> int:
-        return self.phases.count(PHASE_TO_HIGHWAY)
-
-    @property
     def hops_on_highway(self) -> int:
-        return self.phases.count(PHASE_ON_HIGHWAY)
+        return self.edge_kinds.count(KIND_LONG)
 
     @property
     def hops_to_target(self) -> int:
-        return self.phases.count(PHASE_TO_TARGET)
+        return self.hops - self.hops_to_highway - self.hops_on_highway
+
+    @property
+    def phases(self) -> list[str]:
+        """The first ``hops_to_highway`` hops are to-highway; after them
+        a long-range hop is on-highway and a local hop to-target."""
+        k = self.hops_to_highway
+        return [PHASE_TO_HIGHWAY] * k + [
+            PHASE_ON_HIGHWAY if kind == KIND_LONG else PHASE_TO_TARGET
+            for kind in self.edge_kinds[k:]]
+
+
+def _boarding(flags: list[bool]) -> int:
+    """Hops before a path with highway ``flags`` first stands on a
+    highway node (its start counts); all of its hops if it never does."""
+    return (flags[:-1] + [True]).index(True)
 
 
 def _next_hop(graph: Graph, overlay: HighwayOverlay, dist_t: np.ndarray,
@@ -143,18 +152,15 @@ def route(graph: Graph, overlay: HighwayOverlay, source: int, target: int,
                          path=[source], dist_st=int(dist_t[source]))
     is_hw = overlay.is_highway
     cur = source
-    seen_highway = bool(is_hw[cur])
     plain = variant == "plain"
     hop_cap = 4 * graph.n + 16
 
-    if variant == "highway-aware" and not seen_highway:
+    if variant == "highway-aware":
         _, next_hop = overlay.nearest_highway()
         while cur != target and not is_hw[cur]:
             cur = int(next_hop[cur])
             trace.path.append(cur)
             trace.edge_kinds.append(KIND_LOCAL)
-            trace.phases.append(PHASE_TO_HIGHWAY)
-        seen_highway = bool(is_hw[cur])
 
     while cur != target:
         if len(trace.path) > hop_cap:
@@ -162,10 +168,7 @@ def route(graph: Graph, overlay: HighwayOverlay, source: int, target: int,
         cur, kind = _next_hop(graph, overlay, dist_t, cur, plain)
         trace.path.append(cur)
         trace.edge_kinds.append(kind)
-        trace.phases.append(
-            PHASE_ON_HIGHWAY if kind == KIND_LONG
-            else PHASE_TO_TARGET if seen_highway else PHASE_TO_HIGHWAY)
-        seen_highway = seen_highway or bool(is_hw[cur])
+    trace.hops_to_highway = _boarding(is_hw[trace.path].tolist())
     return trace
 
 
@@ -181,13 +184,10 @@ def route_batch(graph: Graph, overlay: HighwayOverlay,
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    ends = np.asarray(pairs)
-    if ends.size and ends.dtype.kind not in "iu":
-        raise TypeError(f"node ids must be integers, got {ends.dtype}")
-    ends = ends.astype(np.int64).reshape(-1, 2)
-    bad = np.flatnonzero((ends < 0) | (ends >= graph.n))
-    if bad.size:
-        raise ValueError(f"node {int(ends.flat[bad[0]])} out of range")
+    ends = graph._nodes(pairs)
+    if ends.size and ends.shape[1:] != (2,):
+        raise ValueError(f"pairs must be shaped (m, 2), got {ends.shape}")
+    ends = ends.reshape(-1, 2)
     walks = _Lockstep(graph, overlay, variant)
     width = graph.n if graph.lattice_hint is None \
         else walks.nbrs.shape[1] + overlay.contact_table.shape[1]
@@ -273,43 +273,39 @@ class _Lockstep:
         start = np.zeros(len(ends) + 1, dtype=np.int64)
         np.cumsum(bound + 1, out=start[1:])
         path = np.zeros(start[-1], dtype=np.int32)
-        kind = np.zeros(start[-1], dtype=np.int8)   # index into _KINDS
-        phase = np.zeros(start[-1], dtype=np.int8)  # index into _PHASES
+        kind = np.zeros(start[-1], dtype=np.int8)  # index into _KINDS
         path[start[:-1]] = source
-        size = np.ones(len(ends), dtype=np.int64)   # nodes on each path
+        size = np.ones(len(ends), dtype=np.int64)  # nodes on each path
         cur = source.astype(np.int32)
-        seen = is_hw[cur]
 
-        def record(live, nxt, long, phases):
+        def record(live, nxt, long):
             at = start[live] + size[live]
             path[at] = nxt
             kind[at] = long
-            phase[at] = phases
             size[live] += 1
             cur[live] = nxt
 
         if self.nearest is not None:
             next_hop = self.nearest[1]
-            live = np.flatnonzero(~seen & (cur != target))
+            live = np.flatnonzero(~is_hw[cur] & (cur != target))
             while live.size:
                 nxt = next_hop[cur[live]]
-                record(live, nxt, False, 0)
+                record(live, nxt, False)
                 live = live[(nxt != target[live]) & ~is_hw[nxt]]
-            seen = is_hw[cur]
         d_cur = dist(walk, cur)
         live = np.flatnonzero(d_cur > 0)
         while live.size:
             nxt, d_nxt, long = self._step(dist, live, cur[live], d_cur[live])
-            record(live, nxt, long, np.where(long, 1, 2 * seen[live]))
+            record(live, nxt, long)
             d_cur[live] = d_nxt
-            seen[live] |= is_hw[nxt]
             live = live[d_nxt > 0]
 
-        path, kind, phase = (path.tolist(), _KINDS[kind].tolist(),
-                             _PHASES[phase].tolist())
+        flags = is_hw[path].tolist()
+        path, kind = path.tolist(), _KINDS[kind].tolist()
         return [RoutingTrace(source=s, target=t, variant=self.variant,
                              path=path[a:a + k], edge_kinds=kind[a + 1:a + k],
-                             phases=phase[a + 1:a + k], dist_st=d)
+                             hops_to_highway=_boarding(flags[a:a + k]),
+                             dist_st=d)
                 for s, t, a, k, d in zip(source.tolist(), target.tolist(),
                                          start.tolist(), size.tolist(),
                                          dist_st.tolist())]
@@ -332,28 +328,26 @@ def _neighbour_table(graph: Graph) -> np.ndarray:
 def validate_trace(graph: Graph, overlay: HighwayOverlay,
                    trace: RoutingTrace) -> None:
     """Raise if any hop is not a real edge / real contact of its kind,
-    or has the wrong phase: a long-range hop is on-highway, and a local
-    hop is to-target once the walk has stood on a highway node (its
-    start included), to-highway before."""
+    a kind is neither label, or ``hops_to_highway`` is not the hop at
+    which the path first stands on a highway node."""
     if trace.path[0] != trace.source or trace.path[-1] != trace.target:
         raise RoutingError("trace endpoints do not match")
-    if len(trace.edge_kinds) != trace.hops or len(trace.phases) != trace.hops:
+    if len(trace.edge_kinds) != trace.hops:
         raise RoutingError("trace labels out of sync with path")
-    seen_highway = False
-    for i in range(trace.hops):
+    for i, kind in enumerate(trace.edge_kinds):
         a, b = trace.path[i], trace.path[i + 1]
-        seen_highway = seen_highway or bool(overlay.is_highway[a])
-        if trace.edge_kinds[i] == KIND_LOCAL:
+        if kind == KIND_LOCAL:
             if b not in graph.neighbors(a):
                 raise RoutingError(f"hop {a}->{b} is not a local edge")
-            phase = PHASE_TO_TARGET if seen_highway else PHASE_TO_HIGHWAY
-        else:
-            if not overlay.is_highway[a] or b not in overlay.contacts(a):
-                raise RoutingError(f"hop {a}->{b} is not a contact")
-            phase = PHASE_ON_HIGHWAY
-        if trace.phases[i] != phase:
-            raise RoutingError(f"hop {a}->{b} has phase "
-                               f"{trace.phases[i]!r}, not {phase!r}")
+        elif kind != KIND_LONG:
+            raise RoutingError(f"hop {a}->{b} has kind {kind!r}")
+        elif not overlay.is_highway[a] or b not in overlay.contacts(a):
+            raise RoutingError(f"hop {a}->{b} is not a contact")
+    boarding = _boarding(overlay.is_highway[trace.path].tolist())
+    if trace.hops_to_highway != boarding:
+        raise RoutingError(f"trace has hops_to_highway="
+                           f"{trace.hops_to_highway}, its path boards "
+                           f"after {boarding}")
 
 
 def write_trace_csv(traces: Sequence[RoutingTrace], path) -> None:

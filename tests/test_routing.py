@@ -52,6 +52,14 @@ def test_plain_pure_local_when_highway_is_elsewhere():
     assert tr.path == list(range(9))
     assert tr.hops == 8 == tr.dist_st
     assert all(k == "local" for k in tr.edge_kinds)
+    # a walk that never stands on a highway node: every hop to-highway
+    assert tr.hops_to_highway == 8 and tr.phases == ["to-highway"] * 8
+    validate_trace(g, ov, tr)
+    # one whose first highway node is its target: the same
+    tr = route(g, ov, 0, 16, "plain")
+    assert tr.path == list(range(17))
+    assert tr.hops_to_highway == 16 and tr.phases == ["to-highway"] * 16
+    validate_trace(g, ov, tr)
 
 
 def test_plain_takes_strictly_better_contact():
@@ -156,6 +164,7 @@ def test_node_ids_must_be_integers():
     calls = [lambda: g.distance(2.5, 0), lambda: g.distance_row(2.7),
              lambda: route(g, ov, 2.5, 9), lambda: route(g, ov, 2, 9.0),
              lambda: ov.contacts(float(h)),
+             lambda: ov.contact_rows(np.array([float(h)])),
              lambda: route_batch(g, ov, [(2.5, 9.9)])]
     for call in calls:
         with pytest.raises(TypeError):
@@ -225,21 +234,26 @@ def test_validate_rejects_tampered_traces():
         validate_trace(g, ov, bad)
 
     bad = route(g, ov, 1, 17, "highway-sticky")
+    bad.edge_kinds[1] = "bogus"  # phases would read it as local
+    with pytest.raises(RoutingError, match="has kind 'bogus'"):
+        validate_trace(g, ov, bad)
+
+    bad = route(g, ov, 1, 17, "highway-sticky")
     bad.source = 2
     with pytest.raises(RoutingError, match="endpoints"):
         validate_trace(g, ov, bad)
 
     bad = route(g, ov, 1, 17, "highway-sticky")
-    bad.phases.append("to-target")
+    bad.edge_kinds.append("local")
     with pytest.raises(RoutingError, match="out of sync"):
         validate_trace(g, ov, bad)
 
-    assert tr.phases == ["to-highway", "on-highway", "to-target"]
-    for phases in (tr.phases[::-1], tr.phases[1:] + tr.phases[:1],
-                   ["to-highway", "bogus", "to-target"]):
+    assert tr.hops_to_highway == 1  # the walk boards at node 0
+    for hops in (0, 2, 3):
         bad = route(g, ov, 1, 17, "highway-sticky")
-        bad.phases = phases
-        with pytest.raises(RoutingError, match="has phase"):
+        bad.hops_to_highway = hops
+        with pytest.raises(RoutingError,
+                           match=f"hops_to_highway={hops}, .* after 1$"):
             validate_trace(g, ov, bad)
 
     validate_trace(g, ov, tr)  # untouched trace still validates
@@ -273,6 +287,22 @@ def test_route_batch_rejects_bad_arguments():
                        ([(0, 1), (-1, 9)], -1), ([(3, 3), (5, 12)], 12)):
         with pytest.raises(ValueError, match=f"^node {bad} out of range$"):
             route_batch(g, ov, pairs)
+    # ids are never regrouped into pairs
+    for pairs in (np.array([[1, 2, 3], [4, 5, 6]]), [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match=r"shaped \(m, 2\)"):
+            route_batch(g, ov, pairs)
+
+
+def reference_phases(ov, tr):
+    """Each hop's phase by the per-hop rule: a long-range hop is
+    on-highway; a local hop is to-target once any node up to and
+    including its start is a highway node, to-highway before."""
+    phases, seen = [], False
+    for a, kind in zip(tr.path, tr.edge_kinds):
+        seen = seen or bool(ov.is_highway[a])
+        phases.append("on-highway" if kind == "long-range"
+                      else "to-target" if seen else "to-highway")
+    return phases
 
 
 def scalar_traces(g, ov, pairs, variant):
@@ -318,6 +348,7 @@ def test_routing_invariants_on_random_graphs(n, extra, k, q, s, seed, ends):
         assert got == scalar_traces(g, ov, pairs, variant), variant
         for tr in got:
             validate_trace(g, ov, tr)
+            assert tr.phases == reference_phases(ov, tr)
             if variant == "highway-aware":
                 assert tr.hops_to_highway <= ov.nearest_highway()[0][tr.source]
             else:
