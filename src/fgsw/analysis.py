@@ -384,6 +384,7 @@ class DimEstimate:
 
 
 FIT_TIE = 1e-9  # residuals this close to the minimum tie; smaller alpha wins
+ALPHA_GRID_MAX_POINTS = 10_000  # the default grid has 351
 
 
 def _fit_growth(excess: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
@@ -440,6 +441,10 @@ def estimate_alpha(graph: Graph, samples: int = 200,
     lo, hi, step = alpha_grid
     if not (0 < lo <= hi and step > 0):
         raise ValueError("bad alpha grid")
+    points = (hi - lo) / step + 1
+    if not points <= ALPHA_GRID_MAX_POINTS:  # refuses inf and nan too
+        raise ValueError(f"alpha grid {lo}:{hi}:{step} has {points:.3g} "
+                         f"points, more than {ALPHA_GRID_MAX_POINTS}")
     decimals = max(0, int(round(-math.log10(step))) + 1)
     grid = np.round(np.arange(lo, hi + step / 2, step), decimals)
     nodes = _sample_nodes(graph.n, samples, seed, tag=6)
@@ -447,7 +452,7 @@ def estimate_alpha(graph: Graph, samples: int = 200,
     per_node, skipped = [], []
     fits: dict[bytes, tuple[float, float]] = {}
     for u in nodes:
-        sizes = ball_profile(graph, int(u), size_stop=math.ceil(half))
+        sizes = ball_profile(graph, int(u))
         l_max = int(np.count_nonzero(sizes[1:] < half))
         if l_max < 3:  # too few radii to fit a growth exponent
             skipped.append(int(u))

@@ -32,8 +32,8 @@ from scipy.sparse import csgraph, csr_array
 UNREACHABLE = -1
 
 # Cells one block of batched work may hold: the (arcs, words) gather of
-# one diameter BFS level and the walks of one lockstep routing block
-# are sized from it.
+# one diameter BFS level, the walks of one lockstep routing block and
+# the ids `Graph.save` formats at once are sized from it.
 BLOCK_CELLS = 1 << 16
 
 
@@ -206,14 +206,16 @@ class Graph:
     # -- text format ----------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the text format: `n m` then one `u v` line per edge."""
-        u = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        v = self.indices.astype(np.int64)
-        mask = u < v
-        pairs = np.stack([u[mask], v[mask]], axis=1)
+        """Write the text format: `n m` then one `u v` line per edge,
+        formatted BLOCK_CELLS ids at a time."""
+        u = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
+        mask = u < self.indices
+        ids = np.stack([u[mask], self.indices[mask]], axis=1).ravel()
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{self.n} {pairs.shape[0]}\n")
-            np.savetxt(fh, pairs, fmt="%d")
+            fh.write(f"{self.n} {ids.size // 2}\n")
+            for start in range(0, ids.size, BLOCK_CELLS):
+                block = ids[start:start + BLOCK_CELLS].tolist()
+                fh.write(("%d %d\n" * (len(block) // 2)) % tuple(block))
 
     @classmethod
     def load(cls, path) -> "Graph":
@@ -236,18 +238,17 @@ class Graph:
         if len(lines) - 1 != m:
             raise GraphFormatError(
                 f"{path}: header promises {m} edges, file has {len(lines) - 1}")
-        edges = np.empty((m, 2), dtype=np.int64)
-        for i, line in enumerate(lines[1:]):
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}: bad edge line {i + 2}")
-            try:
-                edges[i, 0], edges[i, 1] = int(parts[0]), int(parts[1])
-            except (ValueError, OverflowError) as exc:
-                raise GraphFormatError(
-                    f"{path}: non-integer or out-of-range edge line "
-                    f"{i + 2}") from exc
-        return cls.from_edges(n, edges)
+        # the header is parsed again as row 0: loadtxt then always reads
+        # a row (it warns on none) and holds every line to its two
+        # columns, so only a skipped blank line leaves the rows short
+        try:
+            rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}: non-integer or malformed "
+                                   f"line: {exc}") from exc
+        if len(rows) != m + 1:
+            raise GraphFormatError(f"{path}: blank edge line")
+        return cls.from_edges(n, rows[1:])
 
 
 def _build_csr(n: int, heads: np.ndarray, tails: np.ndarray
@@ -426,17 +427,9 @@ def ball(graph: Graph, u: int, radius: int) -> np.ndarray:
     return np.flatnonzero(graph.distance_row(u) <= radius).astype(np.int32)
 
 
-def ball_profile(graph: Graph, u: int, size_stop: int | None = None
-                 ) -> np.ndarray:
-    """Cumulative ball sizes [|B_0|, |B_1|, ...] from u.
-
-    With ``size_stop`` the profile ends at the first size that reaches
-    it (or at the full-graph count).
-    """
-    sizes = np.cumsum(np.bincount(graph.distance_row(u)))
-    if size_stop is not None:
-        sizes = sizes[:np.searchsorted(sizes, size_stop) + 1]
-    return sizes
+def ball_profile(graph: Graph, u: int) -> np.ndarray:
+    """Cumulative ball sizes [|B_0|, |B_1|, ...] from u."""
+    return np.cumsum(np.bincount(graph.distance_row(u)))
 
 
 def shell(graph: Graph, u: int, width: int, index: int) -> np.ndarray:

@@ -15,7 +15,8 @@ from fgsw import (Graph, HighwayOverlay, OverlayParams, StatReport, ball,
                   improvement_probability, route, sample_far_pairs,
                   shell_highway_stats, sweep_clustering_exponent, z_stats)
 from fgsw import graph as graph_module
-from fgsw.analysis import _augmented_csr, _sample_nodes, sampled_radius
+from fgsw.analysis import (ALPHA_GRID_MAX_POINTS, _augmented_csr,
+                           _sample_nodes, sampled_radius)
 from fgsw.graph import BLOCK_CELLS, _bfs, _build_csr, _max_eccentricity
 
 
@@ -569,6 +570,19 @@ def test_estimate_alpha_rejects_bad_grid():
     g = gen_lattice(1, 64)
     for grid in ((0.0, 4.0, 0.01), (2.0, 1.0, 0.01), (0.5, 4.0, 0.0)):
         with pytest.raises(ValueError, match="bad alpha grid"):
+            estimate_alpha(g, samples=5, alpha_grid=grid, seed=0)
+
+
+def test_estimate_alpha_caps_grid_points():
+    g = gen_lattice(1, 64)
+    step = 2.0 ** -12  # exact in binary, so the point counts are exact
+    top = 0.5 + (ALPHA_GRID_MAX_POINTS - 1) * step
+    est = estimate_alpha(g, samples=5, alpha_grid=(0.5, top, step), seed=0)
+    assert abs(est.alpha_median - 1.0) < 0.01
+    # refused before the grid is built: 1e18 points would not fit in memory
+    for grid in ((0.5, top + step, step), (0.5, 1e9, 1e-9),
+                 (0.5, math.inf, 0.01)):
+        with pytest.raises(ValueError, match="points, more than 10000"):
             estimate_alpha(g, samples=5, alpha_grid=grid, seed=0)
 
 

@@ -298,6 +298,21 @@ def test_dimacs_bad_numbers_exit_2(tmp_path, capsys, text, what):
     assert re.search(re.escape(str(src)) + what, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("text, what", [
+    ("3 2\n0 1\n1 x\n", "non-integer or malformed line"),
+    ("3 2\n0 1\n1 2 0\n", "non-integer or malformed line"),
+    ("3 3\n0 1\n\n1 2\n", "blank edge line"),
+])
+def test_bad_graph_file_exit_2(tmp_path, capsys, text, what):
+    src = tmp_path / "bad.txt"
+    src.write_text(text)
+    assert main(["estimate-alpha", "--graph", str(src), "--seed", "1",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fgsw: {src}: {what}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", [",", "2,x"])
 @pytest.mark.parametrize("command, flag", [
     ("sweep-s", "--s-list"), ("scaling", "--sides"), ("stats", "--c-list")])
@@ -351,6 +366,10 @@ def test_huge_round_qk_exit_2(workdir, tmp_path, capsys, command):
     (["estimate-alpha", "--grid", "1:2"], "--grid must be lo:hi:step"),
     (["stats", "balls", "--alpha", "1000"], "alpha = 1000.0 overflows"),
     (["stats", "improve", "--alpha", "1000"], "alpha = 1000.0 overflows"),
+    (["estimate-alpha", "--grid", "0.5:1e9:1e-9"],
+     "alpha grid 0.5:1000000000.0:1e-09 has 1e+18 points, more than 10000"),
+    (["estimate-alpha", "--grid", "0.5:inf:0.01"],
+     "alpha grid 0.5:inf:0.01 has inf points"),
 ])
 def test_degenerate_stat_parameters_exit_2(workdir, tmp_path, capsys, argv,
                                            message):

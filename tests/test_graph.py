@@ -1,13 +1,17 @@
 """Graph core: CSR construction, BFS metric, balls, shells, packing."""
 
+import io
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fgsw import (Graph, GraphFormatError, LatticeHint, ball, ball_profile,
                   bfs, gen_lattice, gen_sierpinski, multi_source_bfs,
                   pack_independent_balls, shell)
-from fgsw.graph import _bfs, _build_csr, _lattice_coordinates, _lattice_csr
+from fgsw.graph import (BLOCK_CELLS, _bfs, _build_csr, _lattice_coordinates,
+                        _lattice_csr)
 from fgsw.rng import substream
 
 # (dim, side, wrap): every dim at its minimum sides and at larger ones
@@ -408,15 +412,7 @@ def test_ball_profile_matches_ball_sizes():
         for radius in range(len(prof)):
             assert prof[radius] == len(ball(g, 9, radius))
         assert prof[-1] == g.n
-    for size_stop in (None, 1, 20, 41):
-        assert np.array_equal(ball_profile(lattice, 9, size_stop=size_stop),
-                              ball_profile(plain, 9, size_stop=size_stop))
-
-
-def test_ball_profile_size_stop_overshoots_once():
-    g = gen_lattice(1, 100)
-    prof = ball_profile(g, 0, size_stop=21)
-    assert prof[-1] >= 21 and prof[-2] < 21
+    assert np.array_equal(ball_profile(lattice, 9), ball_profile(plain, 9))
 
 
 # -- shells ------------------------------------------------------------------
@@ -477,15 +473,49 @@ def test_pack_count_band_side64():
 # -- text format -------------------------------------------------------------
 
 
-def test_save_load_round_trip(tmp_path):
-    g = random_connected_graph(30, 20, seed=4)
-    p1 = tmp_path / "g.txt"
-    p2 = tmp_path / "g2.txt"
+@st.composite
+def saved_graphs(draw):
+    """Random connected graphs, lattices of dims 1-3 wrapped and not,
+    and Sierpinski gaskets."""
+    kind = draw(st.sampled_from(["random", "lattice", "gasket"]))
+    if kind == "random":
+        n = draw(st.integers(1, 60))
+        extra = draw(st.integers(0, (n - 1) * (n - 2) // 2))
+        return random_connected_graph(n, min(extra, 80),
+                                      draw(st.integers(0, 2 ** 16)))
+    if kind == "gasket":
+        return gen_sierpinski(draw(st.integers(1, 5)))
+    dim, wrap = draw(st.integers(1, 3)), draw(st.booleans())
+    side = draw(st.integers(3 if wrap else 2, (40, 12, 6)[dim - 1]))
+    return gen_lattice(dim, side, wrap=wrap)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=saved_graphs())
+def test_save_load_round_trip(tmp_path, g):
+    p1, p2 = tmp_path / "g.txt", tmp_path / "g2.txt"
     g.save(p1)
     g2 = Graph.load(p1)
+    assert np.array_equal(g2.indptr, g.indptr)
+    assert np.array_equal(g2.indices, g.indices)
+    assert g2.lattice_hint == g.lattice_hint
     g2.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert g2.n == g.n and g2.m == g.m
+
+
+def test_save_writes_savetxt_bytes(tmp_path):
+    # more edges than one formatting block holds
+    g = gen_lattice(2, 200)
+    path = tmp_path / "g.txt"
+    g.save(path)
+    u = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    mask = u < g.indices
+    want = io.BytesIO()
+    want.write(f"{g.n} {g.m}\n".encode())
+    np.savetxt(want, np.stack([u[mask], g.indices[mask]], axis=1), fmt="%d")
+    assert g.m > BLOCK_CELLS // 2
+    assert path.read_bytes() == want.getvalue()
 
 
 @pytest.mark.parametrize("dim,side,wrap", LATTICES)
@@ -522,3 +552,42 @@ def test_load_rejects_non_integer_edge(tmp_path):
         p.write_text(text)
         with pytest.raises(GraphFormatError, match="non-integer"):
             Graph.load(p)
+
+
+# an 11-node path whose last edge names node 10 as `1_0`
+UNDERSCORED = ("11 10\n" + "".join(f"{i} {i + 1}\n" for i in range(9))
+               + "9 1_0\n")
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("3 3\n0 1\n\n1 2\n", "blank"),  # a blank line mid-file
+    ("3 3\n\n0 1\n1 2\n", "blank"),  # ... as the first edge line
+    ("3 3\n0 1\n \t \n1 2\n", "blank"),  # a whitespace-only line
+    ("3 2\n0 1\n1 2\n\n", "promises 2 edges, file has 3"),
+    ("3 2\n0 1 2\n1 2 0\n", "malformed line"),  # three on every line
+    ("3 2\n0 1\n1 2 0\n", "malformed line"),  # three on one line
+    (UNDERSCORED, "non-integer"),
+    ("3 3\n# edges\n0 1\n1 2\n", "non-integer"),
+])
+def test_load_refuses(tmp_path, text, msg):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError, match=msg) as err:
+        Graph.load(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("data, edges", [
+    (b"3 2\r\n0 1\r\n1 2\r\n", [(0, 1), (1, 2)]),  # CRLF line ends
+    (b"3 2\n0\t1\n1 \t2\n", [(0, 1), (1, 2)]),  # tabs
+    (b"1 0\n", []),  # a single node
+])
+def test_load_accepts(tmp_path, data, edges):
+    path = tmp_path / "ok.txt"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = Graph.load(path)
+    want = Graph.from_edges(g.n, edges)
+    assert np.array_equal(g.indptr, want.indptr)
+    assert np.array_equal(g.indices, want.indices)

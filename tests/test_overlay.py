@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import stats
 
 from fgsw import (Graph, HighwayOverlay, OverlayError, OverlayParams,
@@ -329,19 +330,28 @@ def test_routing_draws_each_contact_list_once(monkeypatch):
 # -- serialization ----------------------------------------------------------------
 
 
-def test_save_load_round_trip(tmp_path):
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.floats(1, 8), q=st.floats(0.5, 4), s=st.floats(0, 4),
+       seed=st.integers(0, 2 ** 16))
+def test_save_load_round_trip(tmp_path, k, q, s, seed):
     g = gen_lattice(2, 8)
-    ov = build_overlay(g, OverlayParams(k=3, q=2, s=2, seed=9))
-    p1, p2 = tmp_path / "o1.txt", tmp_path / "o2.txt"
-    ov.save(p1)
-    loaded = HighwayOverlay.load(g, p1)
-    loaded.save(p2)
+    params = OverlayParams(k=k, q=q, s=s, seed=seed)
+    lazy = build_overlay(g, params, materialize=False)
+    eager = build_overlay(g, params)
+    p1, p2, p3 = (tmp_path / name for name in ("o1.txt", "o2.txt", "o3.txt"))
+    lazy.save(p1)
+    eager.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert np.array_equal(loaded.is_highway, ov.is_highway)
-    assert loaded.params == ov.params and loaded.epoch == ov.epoch
-    for u in ov.highway_ids:
-        assert loaded.zvalue(int(u)) == ov.zvalue(int(u))
-        assert np.array_equal(loaded.contacts(int(u)), ov.contacts(int(u)))
+    loaded = HighwayOverlay.load(g, p1)
+    loaded.save(p3)
+    assert p1.read_bytes() == p3.read_bytes()
+    for ov in (lazy, eager):
+        assert np.array_equal(loaded.highway_ids, ov.highway_ids)
+        assert np.array_equal(loaded.contact_table, ov.contact_table)
+        assert loaded.params == ov.params and loaded.epoch == ov.epoch
+        assert ([loaded.zvalue(int(u)).hex() for u in ov.highway_ids]
+                == [ov.zvalue(int(u)).hex() for u in ov.highway_ids])
 
 
 def path3():
