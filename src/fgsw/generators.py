@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (Graph, GraphFormatError, _build_csr, _components,
-                    _lattice_coordinates, _lattice_csr)
+                    _gasket_csr, _lattice_coordinates, _lattice_csr)
 
 log = logging.getLogger(__name__)
 
@@ -37,38 +37,19 @@ def gen_sierpinski(level: int) -> Graph:
     """Sierpinski gasket graph of the given level.
 
     Level 1 is a triangle; each next level glues three copies pairwise
-    at corner nodes. Copies are ordered and glued corners take the
-    lowest id, so numbering is deterministic. n_L = (3^L + 3)/2,
-    m_L = 3^L; levels over NODE_BUDGET nodes are refused.
+    at corner nodes (``graph._gasket_gluings``). Copies are ordered and
+    glued corners take the lowest id, so numbering is deterministic.
+    n_L = (3^L + 3)/2, m_L = 3^L; levels over NODE_BUDGET nodes are
+    refused.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    final_n = (3 ** level + 3) // 2
-    if final_n > NODE_BUDGET:
+    n = (3 ** level + 3) // 2
+    if n > NODE_BUDGET:
         raise ValueError(
-            f"level {level} needs {final_n} nodes, over the budget "
+            f"level {level} needs {n} nodes, over the budget "
             f"of {NODE_BUDGET}")
-    edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-    corners = np.array([0, 1, 2], dtype=np.int64)
-    n = 3
-    for _ in range(level - 1):
-        c0, c1, c2 = corners
-        copies = [edges + off for off in (0, n, 2 * n)]
-        merged = np.concatenate(copies)
-        # glue: B's corner0 -> A's corner1, C's corner1 -> B's corner2,
-        # C's corner0 -> A's corner2
-        remap = np.arange(3 * n, dtype=np.int64)
-        remap[n + c0] = c1
-        remap[2 * n + c1] = n + c2
-        remap[2 * n + c0] = c2
-        merged = remap[merged]
-        kept = np.delete(np.arange(3 * n), [n + c0, 2 * n + c0, 2 * n + c1])
-        dense = np.full(3 * n, -1, dtype=np.int64)
-        dense[kept] = np.arange(kept.size)
-        edges = dense[merged]
-        corners = dense[np.array([c0, n + c1, 2 * n + c2])]
-        n = kept.size
-    return Graph.from_edges(n, edges)
+    return Graph(n, *_gasket_csr(level))
 
 
 @dataclass(frozen=True)

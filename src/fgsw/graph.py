@@ -7,23 +7,35 @@ Hop distance is the only metric in the package, and ``Graph`` holds it:
 scalar node id, which the overlay and ``route`` call too: an id outside
 [0, n) is a ValueError and one that is not an integer (a float, say) a
 TypeError; numpy integers pass. ``Graph._nodes`` is its array form,
-which ``route_batch`` and ``contact_rows`` call. A graph whose CSR
-arrays equal those of a row-major lattice recognises itself as one,
-whatever built it, keeps the coordinates that check built, and
-evaluates all five in closed form, all but the first without building a
-row (tests assert the equivalence). Otherwise ``_bfs``, scipy's csgraph
-Dijkstra over unit-weight arcs, builds the rows; it serves only single
-rows, row blocks and ``multi_source_bfs``. ``bfs`` is ``distance_row``,
-and ``ball``, ``shell`` and ``pack_independent_balls`` threshold it.
-Components come from csgraph over the same arcs, and diameters from
-``_max_eccentricity``, a bit-parallel multi-source BFS that builds no
-rows.
+which ``route_batch`` and ``contact_rows`` call.
+
+All five methods ask one private metric object per graph, picked from
+the graph's own CSR arrays, whatever built them:
+
+- ``_Lattice``: the arrays equal those of a row-major lattice (checked
+  at construction, so the 3-ring is a lattice, not a level-1 gasket);
+  distances are (wrapped) L1 coordinate distances.
+- ``_Gasket``: the arrays equal those of ``_gasket_csr(level)``
+  (checked on the first query); distances follow the Sierpinski-gasket
+  recursion of Hinz and Schief (PTRF 87, 1990) through each node's
+  packed copy digits.
+- ``_Rows``: any other graph; ``_bfs``, scipy's csgraph Dijkstra over
+  unit-weight arcs, builds the rows from an adjacency matrix the metric
+  builds once.
+
+Both closed forms evaluate everything but ``distance_row`` without
+building a row (tests assert the equivalence). ``bfs`` is
+``distance_row``, and ``ball``, ``shell`` and ``pack_independent_balls``
+threshold it. Components come from csgraph over the same arcs, and
+diameters from ``_max_eccentricity``, a bit-parallel multi-source BFS
+that builds no rows.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -35,6 +47,10 @@ UNREACHABLE = -1
 # one diameter BFS level, the walks of one lockstep routing block and
 # the ids `Graph.save` formats at once are sized from it.
 BLOCK_CELLS = 1 << 16
+
+# Deepest gasket the closed form takes: its packed codes fill an int32
+# and its corner bits a uint16.
+GASKET_MAX_LEVEL = 15
 
 
 class GraphFormatError(ValueError):
@@ -63,10 +79,18 @@ class Graph:
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
-        self.lattice_hint, self._coords = _recognize_lattice(
-            self.n, indptr, indices)
+        self.lattice_hint, coords = _recognize_lattice(self.n, indptr, indices)
+        if coords is not None:
+            self._metric = _Lattice(self.lattice_hint, coords)
         indptr.flags.writeable = False
         indices.flags.writeable = False
+
+    @cached_property
+    def _metric(self):
+        """A non-lattice's metric, picked on its first query: the gasket
+        closed form when the arrays are a gasket's, else csgraph rows."""
+        level = _recognize_gasket(self.n, self.indptr, self.indices)
+        return _Gasket(level) if level else _Rows(self)
 
     @property
     def m(self) -> int:
@@ -130,31 +154,14 @@ class Graph:
             raise ValueError(f"node {int(ids.flat[bad[0]])} out of range")
         return ids
 
-    def _lattice_distances(self, a: np.ndarray, b: np.ndarray
-                           ) -> np.ndarray:
-        """Closed-form hop distance between the nodes whose coordinate
-        columns are ``a`` and ``b`` (int32, broadcast along axis 0)."""
-        hint = self.lattice_hint
-        delta = np.abs(a - b)
-        if hint.wrap:
-            np.minimum(delta, hint.side - delta, out=delta)
-        return delta.sum(axis=0, dtype=np.int32)
-
     def distance_row(self, u: int) -> np.ndarray:
         """Hop distance from u to every node (int32)."""
-        u = self._node(u)
-        if self.lattice_hint is None:
-            return _bfs(self.indptr, self.indices, self.n, (u,))
-        return self._lattice_distances(self._coords[:, u:u + 1], self._coords)
+        return self._metric.row(self._node(u))
 
     def distances(self, u: int, targets: np.ndarray) -> np.ndarray:
         """Hop distance from u to each of ``targets``, in their order
         (int32)."""
-        u = self._node(u)
-        if self.lattice_hint is None:
-            return self.distance_row(u)[targets]
-        return self._lattice_distances(self._coords[:, u:u + 1],
-                                       np.take(self._coords, targets, axis=1))
+        return self._metric.distances(self._node(u), targets)
 
     def distances_to(self, targets: np.ndarray
                      ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -162,46 +169,18 @@ class Graph:
 
         ``lookup(i, nodes)`` is d(nodes, targets[i]) elementwise (int32),
         for integer arrays ``i`` and ``nodes`` that broadcast together.
-        Without a lattice hint one BFS call builds a row per target, so
-        the block holds len(targets) * n cells.
+        On csgraph rows one BFS call builds a row per target, so the
+        block holds len(targets) * n cells; a closed form holds none.
         """
-        targets = np.asarray(targets)
-        if self.lattice_hint is None:
-            rows = _bfs(self.indptr, self.indices, self.n, targets,
-                        min_only=False)
-            return lambda i, nodes: rows[i, nodes]
-        coords = self._coords
-        ends = coords[:, targets]
-        return lambda i, nodes: self._lattice_distances(ends[:, i],
-                                                        coords[:, nodes])
+        return self._metric.distances_to(np.asarray(targets))
 
     def distance(self, u: int, v: int) -> int:
-        """Hop distance between u and v; the BFS fallback reads v's row."""
-        u, v, hint = self._node(u), self._node(v), self.lattice_hint
-        if hint is None:
-            return int(self.distance_row(v)[u])
-        total = 0
-        for _ in range(hint.dim):
-            u, a = divmod(u, hint.side)
-            v, b = divmod(v, hint.side)
-            delta = abs(a - b)
-            total += min(delta, hint.side - delta) if hint.wrap else delta
-        return total
+        """Hop distance between u and v; csgraph rows read v's row."""
+        return self._metric.distance(self._node(u), self._node(v))
 
     def eccentricity(self, u: int) -> int:
-        """Largest hop distance from u; closed form on a lattice, where
-        each axis contributes side // 2 when wrapped and u's distance to
-        the farther end otherwise."""
-        u, hint = self._node(u), self.lattice_hint
-        if hint is None:
-            return int(self.distance_row(u).max())
-        if hint.wrap:
-            return hint.dim * (hint.side // 2)
-        total = 0
-        for _ in range(hint.dim):
-            u, c = divmod(u, hint.side)
-            total += max(c, hint.side - 1 - c)
-        return total
+        """Largest hop distance from u."""
+        return self._metric.eccentricity(self._node(u))
 
     # -- text format ----------------------------------------------------
 
@@ -327,6 +306,219 @@ def _recognize_lattice(n: int, indptr: np.ndarray, indices: np.ndarray
     return None, None
 
 
+def _gasket_gluings(level: int):
+    """The steps that glue the level-``level`` Sierpinski gasket from
+    the triangle 0, 1, 2 (its corners 0, 1 and 2).
+
+    A step lays three copies of the n-node gasket below at ids 0, n and
+    2n and yields (n, new, kept): ``new`` maps each of the 3n copy ids
+    to its id in the glued gasket, and ``kept`` lists, by glued id, the
+    copy id it keeps. Copy i's corner j (i != j) is glued to copy j's
+    corner i and keeps the lower id; copy i's corner i becomes corner i
+    of the glued gasket.
+    """
+    corners = np.arange(3)
+    n = 3
+    for _ in range(level - 1):
+        c0, c1, c2 = corners
+        into = np.arange(3 * n)
+        into[[n + c0, 2 * n + c0, 2 * n + c1]] = c1, c2, n + c2
+        kept = np.flatnonzero(into == np.arange(3 * n))
+        new = np.empty(3 * n, dtype=np.int64)
+        new[kept] = np.arange(kept.size)
+        yield n, new[into], kept
+        corners = new[[c0, n + c1, 2 * n + c2]]
+        n = kept.size
+
+
+def _gasket_csr(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of the level-``level`` gasket, numbered as
+    ``_gasket_gluings`` glues it, in ``_build_csr``'s canonical layout."""
+    edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
+    for n, new, _ in _gasket_gluings(level):
+        edges = new[np.concatenate([edges, edges + n, edges + 2 * n])]
+    return _build_csr((3 ** level + 3) // 2, edges.ravel(),
+                      edges[:, ::-1].ravel())
+
+
+def _recognize_gasket(n: int, indptr: np.ndarray, indices: np.ndarray
+                      ) -> int:
+    """Level of the gasket with these CSR arrays, else 0.
+
+    A candidate must have n = (3^L + 3) / 2 nodes, 2 * 3^L arcs and
+    L <= GASKET_MAX_LEVEL before any array is built; the match compares
+    full arrays.
+    """
+    level = 1
+    while 3 ** level < 2 * n - 3:
+        level += 1
+    if (3 ** level != 2 * n - 3 or indices.size != 2 * 3 ** level
+            or level > GASKET_MAX_LEVEL):
+        return 0
+    want_indptr, want_indices = _gasket_csr(level)
+    if (np.array_equal(indptr, want_indptr)
+            and np.array_equal(indices, want_indices)):
+        return level
+    return 0
+
+
+# -- metrics -------------------------------------------------------------
+
+
+class _Metric:
+    """Hop distances between node ids ``Graph`` has checked, all int32.
+
+    A metric gives ``row(u)`` and ``distances_to(targets)``, whose
+    lookup holds ``target_cells`` cells per target and node; subsets,
+    pairs and eccentricities read rows unless it has a closed form.
+    """
+
+    target_cells = 0
+
+    def distances(self, u: int, targets: np.ndarray) -> np.ndarray:
+        return self.row(u)[targets]
+
+    def distance(self, u: int, v: int) -> int:
+        return int(self.row(v)[u])
+
+    def eccentricity(self, u: int) -> int:
+        return int(self.row(u).max())
+
+
+class _Lattice(_Metric):
+    """(Wrapped) L1 distances between the coordinate columns of a
+    recognised lattice (``coords``: int32, one row per axis)."""
+
+    def __init__(self, hint: LatticeHint, coords: np.ndarray):
+        self.hint = hint
+        self.coords = coords
+
+    def _between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Hop distance between the nodes whose coordinate columns are
+        ``a`` and ``b`` (broadcast along axis 0)."""
+        delta = np.abs(a - b)
+        if self.hint.wrap:
+            np.minimum(delta, self.hint.side - delta, out=delta)
+        return delta.sum(axis=0, dtype=np.int32)
+
+    def row(self, u: int) -> np.ndarray:
+        return self._between(self.coords[:, u:u + 1], self.coords)
+
+    def distances(self, u: int, targets: np.ndarray) -> np.ndarray:
+        return self._between(self.coords[:, u:u + 1],
+                             np.take(self.coords, targets, axis=1))
+
+    def distances_to(self, targets: np.ndarray):
+        coords = self.coords
+        ends = coords[:, targets]
+        return lambda i, nodes: self._between(ends[:, i], coords[:, nodes])
+
+    def distance(self, u: int, v: int) -> int:
+        hint, total = self.hint, 0
+        for _ in range(hint.dim):
+            u, a = divmod(u, hint.side)
+            v, b = divmod(v, hint.side)
+            delta = abs(a - b)
+            total += min(delta, hint.side - delta) if hint.wrap else delta
+        return total
+
+    def eccentricity(self, u: int) -> int:
+        """Each axis adds side // 2 when wrapped, else u's distance to
+        the farther end."""
+        hint = self.hint
+        if hint.wrap:
+            return hint.dim * (hint.side // 2)
+        total = 0
+        for _ in range(hint.dim):
+            u, c = divmod(u, hint.side)
+            total += max(c, hint.side - 1 - c)
+        return total
+
+
+class _Gasket(_Metric):
+    """Closed-form hop distances on the level-L Sierpinski gasket (Hinz
+    and Schief, "The average distance on the Sierpinski gasket", PTRF
+    87, 1990).
+
+    ``code[u]`` packs u's digits, two bits each. Gluing step q (level
+    q to q + 1 in ``_gasket_gluings``) lays three copies of the level-q
+    gasket, and digit q names the one that holds u; digit 0 names u's
+    corner of its base triangle. So digits q and up fix the level-q
+    copy that holds u, whose corner j is the one it shares with its
+    sibling copy j. Bit q of ``corner[j, u]`` is set when digit q is not
+    j, and u is as many hops from corner j of its level-p copy as the
+    bits below p weigh: 1 for bit 0 and 2^(q-1) for bit q.
+    """
+
+    def __init__(self, level: int):
+        code = np.arange(3, dtype=np.int32)
+        for step, (_, _, kept) in enumerate(_gasket_gluings(level), 1):
+            digit = 1 << 2 * step
+            code = np.concatenate([code, code + digit,
+                                   code + 2 * digit])[kept]
+        corner = np.zeros((3, code.size), dtype=np.uint16)
+        for q in range(level):
+            digit = code >> 2 * q & 3
+            for j in range(3):
+                corner[j] |= (digit != j).astype(np.uint16) << q
+        self.code = code
+        self.corner = corner
+
+    def _pairs(self, u, v) -> np.ndarray:
+        """d(u, v) elementwise over node ids that broadcast together.
+
+        At the first digit p where u's and v's codes differ, u lies in
+        the level-p copy x and v in copy y of one level-(p + 1) gasket,
+        whose third copy z spans 2^(p-1) hops. A shortest path crosses
+        from x to y at their shared corner or through z. Distinct
+        corners of one base triangle (p = 0) are one hop apart.
+        """
+        cu, cv = self.code[u], self.code[v]
+        # frexp's exponent of an integer is its bit length
+        p = np.maximum(np.frexp(cu ^ cv)[1] - 1, 0) >> 1
+        x, y = cu >> 2 * p & 3, cv >> 2 * p & 3
+        z = (3 - x - y) % 3  # any copy where u == v
+        low = (1 << p) - 1
+        corner = self.corner
+
+        def hops(j, w):  # from w to corner j of its level-p copy
+            bits = corner[j, w] & low
+            return (bits >> 1) + (bits & 1)
+
+        d = np.minimum(hops(y, u) + hops(x, v),
+                       hops(z, u) + (low + 1 >> 1) + hops(z, v))
+        # where p = 0 the sum above is 0: one hop apart, or u == v
+        return np.maximum(d, cu != cv).astype(np.int32)
+
+    def row(self, u: int) -> np.ndarray:
+        return self._pairs(u, np.arange(self.code.size))
+
+    def distances(self, u: int, targets: np.ndarray) -> np.ndarray:
+        return self._pairs(u, targets)
+
+    def distances_to(self, targets: np.ndarray):
+        return lambda i, nodes: self._pairs(targets[i], nodes)
+
+    def distance(self, u: int, v: int) -> int:
+        return int(self._pairs(u, v))
+
+
+class _Rows(_Metric):
+    """csgraph rows over the graph's arcs: the metric of a graph with no
+    closed form. The adjacency matrix is built once, with the metric."""
+
+    def __init__(self, graph: Graph):
+        self.target_cells = graph.n
+        self._adjacency = _adjacency(graph.indptr, graph.indices, graph.n)
+
+    def row(self, u: int) -> np.ndarray:
+        return _bfs(self._adjacency, (u,))
+
+    def distances_to(self, targets: np.ndarray):
+        rows = _bfs(self._adjacency, targets, min_only=False)
+        return lambda i, nodes: rows[i, nodes]
+
+
 def _adjacency(indptr: np.ndarray, indices: np.ndarray, n: int
                ) -> csr_array:
     """CSR arcs as a sparse matrix of unit weights; shares ``indices``."""
@@ -334,17 +526,16 @@ def _adjacency(indptr: np.ndarray, indices: np.ndarray, n: int
                       indptr.astype(indices.dtype)), shape=(n, n))
 
 
-def _bfs(indptr: np.ndarray, indices: np.ndarray, n: int,
-         sources: Sequence[int], min_only: bool = True) -> np.ndarray:
-    """Hop distances along the directed arcs of a CSR graph (int32).
+def _bfs(adjacency: csr_array, sources: Sequence[int],
+         min_only: bool = True) -> np.ndarray:
+    """Hop distances along the arcs of an ``_adjacency`` matrix (int32).
 
     The package's one BFS kernel. With ``min_only`` it returns one row,
     the distance to the nearest source; otherwise one row per source.
     Nodes with no path are UNREACHABLE. The arcs already weigh 1, so
     csgraph's ``unweighted`` flag, which copies the weights, is left off.
     """
-    dist = csgraph.dijkstra(_adjacency(indptr, indices, n),
-                            indices=sources, min_only=min_only)
+    dist = csgraph.dijkstra(adjacency, indices=sources, min_only=min_only)
     dist[np.isinf(dist)] = UNREACHABLE
     return dist.astype(np.int32)
 
@@ -417,7 +608,7 @@ def multi_source_bfs(graph: Graph, sources: Sequence[int]) -> np.ndarray:
     """Distance to the nearest of ``sources`` for every node."""
     if len(sources) == 0:
         raise ValueError("need at least one source")
-    return _bfs(graph.indptr, graph.indices, graph.n, sources)
+    return _bfs(_adjacency(graph.indptr, graph.indices, graph.n), sources)
 
 
 def ball(graph: Graph, u: int, radius: int) -> np.ndarray:

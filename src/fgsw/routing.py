@@ -179,8 +179,10 @@ def route_batch(graph: Graph, overlay: HighwayOverlay,
 
     Walks advance in lockstep on one thread, one hop per numpy step, in
     blocks whose step holds at most about BLOCK_CELLS candidate cells
-    (walks times neighbour and contact columns); without a lattice hint
-    a walk's target row counts n cells.
+    (walks times neighbour and contact columns). A walk's target adds
+    the cells the graph's metric holds per target: none on a lattice or
+    a gasket, whose distances are closed forms, and a row of n cells on
+    any other graph.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -189,8 +191,8 @@ def route_batch(graph: Graph, overlay: HighwayOverlay,
         raise ValueError(f"pairs must be shaped (m, 2), got {ends.shape}")
     ends = ends.reshape(-1, 2)
     walks = _Lockstep(graph, overlay, variant)
-    width = graph.n if graph.lattice_hint is None \
-        else walks.nbrs.shape[1] + overlay.contact_table.shape[1]
+    width = (graph._metric.target_cells + walks.nbrs.shape[1]
+             + overlay.contact_table.shape[1])
     block = max(1, BLOCK_CELLS // width)
     return [trace for i in range(0, len(ends), block)
             for trace in walks.run(ends[i:i + block])]

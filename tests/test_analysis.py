@@ -17,7 +17,9 @@ from fgsw import (Graph, HighwayOverlay, OverlayParams, StatReport, ball,
 from fgsw import graph as graph_module
 from fgsw.analysis import (ALPHA_GRID_MAX_POINTS, _augmented_csr,
                            _sample_nodes, sampled_radius)
-from fgsw.graph import BLOCK_CELLS, _bfs, _build_csr, _max_eccentricity
+from fgsw.graph import (BLOCK_CELLS, _adjacency, _bfs, _build_csr,
+                        _max_eccentricity)
+from test_graph import metric_kinds, on_rows
 
 
 def all_highway(graph, q=3.0, s=2.0, seed=0):
@@ -64,11 +66,10 @@ def test_far_pairs_meet_distance_threshold():
 
 
 def test_far_pairs_same_on_closed_form_and_bfs_metric():
-    # the hinted torus reads closed-form pair distances, its copy BFS rows
+    # the torus reads closed-form pair distances, its copy BFS rows
     lattice = gen_lattice(2, 16)
-    plain = Graph(lattice.n, lattice.indptr.copy(), lattice.indices.copy())
-    plain.lattice_hint = None  # the copy recognises itself; force BFS
-    assert plain.lattice_hint is None
+    plain = on_rows(lattice)
+    assert metric_kinds([lattice, plain]) == ["_Lattice", "_Rows"]
     pairs = sample_far_pairs(lattice, 30, seed=4)
     assert pairs == sample_far_pairs(plain, 30, seed=4)
     assert all(type(x) is int for triple in pairs for x in triple)
@@ -446,7 +447,8 @@ def random_connected_graph(n, extra, seed):
 
 def bfs_rows_max(indptr, indices, n, sources):
     """Largest eccentricity of ``sources`` read off csgraph rows."""
-    return int(_bfs(indptr, indices, n, sources, min_only=False).max())
+    return int(_bfs(_adjacency(indptr, indices, n), sources,
+                    min_only=False).max())
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fgsw import (Graph, GraphFormatError, LatticeHint, ball, ball_profile,
                   bfs, gen_lattice, gen_sierpinski, multi_source_bfs,
                   pack_independent_balls, shell)
-from fgsw.graph import (BLOCK_CELLS, _bfs, _build_csr, _lattice_coordinates,
-                        _lattice_csr)
+from fgsw import graph as graph_module
+from fgsw.graph import (BLOCK_CELLS, _adjacency, _bfs, _build_csr, _Gasket,
+                        _lattice_coordinates, _lattice_csr, _Rows)
 from fgsw.rng import substream
 
 # (dim, side, wrap): every dim at its minimum sides and at larger ones
@@ -56,6 +57,30 @@ def random_connected_edges(n, extra_edges, seed):
 
 def random_connected_graph(n, extra_edges, seed):
     return Graph.from_edges(n, random_connected_edges(n, extra_edges, seed))
+
+
+def edge_array(g):
+    """g's edges (u < v), one per row."""
+    u = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    return np.stack([u, g.indices], axis=1)[u < g.indices]
+
+
+def permuted(g, seed):
+    """g with its ids relabelled at random: the same graph in other CSR
+    arrays, so no closed form recognises it."""
+    perm = substream(seed, 3).permutation(g.n)
+    return Graph.from_edges(g.n, perm[edge_array(g)])
+
+
+def on_rows(g):
+    """A copy of g whose metric is csgraph rows, whatever its arrays."""
+    plain = Graph(g.n, g.indptr.copy(), g.indices.copy())
+    plain._metric = _Rows(plain)
+    return plain
+
+
+def metric_kinds(graphs):
+    return [type(g._metric).__name__ for g in graphs]
 
 
 # -- construction and validation ------------------------------------------
@@ -235,19 +260,14 @@ def test_lattice_closed_form_equals_bfs():
                     dim, side, wrap, src)
 
 
-def without_hint(g):
-    # a copy recognises its own lattice; drop the hint to force BFS rows
-    plain = Graph(g.n, g.indptr.copy(), g.indices.copy())
-    plain.lattice_hint = None
-    return plain
-
-
 def test_subset_and_pair_distances_match_rows():
     lattices = [gen_lattice(1, 64), gen_lattice(2, 12),
                 gen_lattice(2, 10, wrap=False), gen_lattice(3, 6)]
-    graphs = (lattices + [without_hint(g) for g in lattices]
-              + [gen_sierpinski(4)])
-    assert [g.lattice_hint is None for g in graphs] == [False] * 4 + [True] * 5
+    gasket = gen_sierpinski(4)
+    graphs = (lattices + [on_rows(g) for g in lattices]
+              + [gasket, permuted(gasket, 1)])
+    assert metric_kinds(graphs) == (["_Lattice"] * 4 + ["_Rows"] * 4
+                                    + ["_Gasket", "_Rows"])
     for g in graphs:
         stream = substream(17, g.n)
         for u in (0, g.n // 3, g.n - 1):
@@ -273,8 +293,12 @@ def test_subset_and_pair_distances_match_rows():
 def test_block_lookup_matches_rows():
     lattices = [gen_lattice(1, 64), gen_lattice(2, 10, wrap=False),
                 gen_lattice(3, 6)]
-    for g in lattices + [without_hint(g) for g in lattices] \
-            + [gen_sierpinski(4)]:
+    gasket = gen_sierpinski(4)
+    graphs = (lattices + [on_rows(g) for g in lattices]
+              + [gasket, permuted(gasket, 2)])
+    assert metric_kinds(graphs) == (["_Lattice"] * 3 + ["_Rows"] * 3
+                                    + ["_Gasket", "_Rows"])
+    for g in graphs:
         stream = substream(19, g.n)
         targets = stream.integers(0, g.n, size=7)
         rows = np.stack([g.distance_row(int(t)) for t in targets])
@@ -285,6 +309,88 @@ def test_block_lookup_matches_rows():
         assert got.dtype == np.int32
         assert np.array_equal(got, rows[which, nodes])
         assert np.array_equal(lookup(np.arange(7), targets), np.zeros(7))
+
+
+@pytest.mark.parametrize("level", range(2, 8))
+def test_gasket_closed_form_equals_rows_on_every_pair(level):
+    g = gen_sierpinski(level)
+    assert metric_kinds([g]) == ["_Gasket"]
+    rows = _bfs(_adjacency(g.indptr, g.indices, g.n), np.arange(g.n),
+                min_only=False)
+    ids = np.arange(g.n)
+    for u in ids:
+        assert np.array_equal(g.distance_row(u), rows[u])
+    assert [g.eccentricity(u) for u in ids] == rows.max(axis=1).tolist()
+    lookup = g.distances_to(ids)
+    got = lookup(ids[:, None], ids)
+    assert got.dtype == np.int32 and np.array_equal(got, rows)
+    stream = substream(23, level)
+    subset = stream.choice(g.n, size=max(1, g.n // 5))
+    for u in stream.choice(g.n, size=min(g.n, 40), replace=False):
+        got = g.distances(u, subset)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, rows[u, subset])
+    # every pair up to level 5, scalar calls being slow; 2,000 beyond
+    pairs = (np.argwhere(rows >= 0) if level <= 5
+             else stream.integers(0, g.n, size=(2000, 2)))
+    for u, v in pairs:
+        d = g.distance(u, v)
+        assert type(d) is int and d == rows[u, v]
+
+
+def gasket_lookalikes(level):
+    """Graphs with a level-``level`` gasket's n and arc count that are
+    not ``gen_sierpinski(level)``'s arrays."""
+    gasket = gen_sierpinski(level)
+    edges = [tuple(e) for e in edge_array(gasket).tolist()]
+    present = set(edges)
+    # a degree-preserving swap: (a, b), (c, d) become (a, d), (c, b)
+    for i, (a, b) in enumerate(edges):
+        swap = next(((c, d) for c, d in edges[i + 1:]
+                     if len({a, b, c, d}) == 4
+                     and (min(a, d), max(a, d)) not in present
+                     and (min(c, b), max(c, b)) not in present), None)
+        if swap is not None:
+            break
+    c, d = swap
+    swapped = [e for e in edges if e not in ((a, b), (c, d))]
+    swapped += [(min(a, d), max(a, d)), (min(c, b), max(c, b))]
+    other = random_connected_graph(gasket.n, gasket.m - gasket.n + 1,
+                                   seed=level)
+    return [permuted(gasket, level), Graph.from_edges(gasket.n, swapped),
+            other]
+
+
+@pytest.mark.parametrize("level", [2, 3, 5])
+def test_gasket_lookalikes_take_rows(level):
+    gasket = gen_sierpinski(level)
+    graphs = gasket_lookalikes(level)
+    assert [(g.n, g.m) for g in graphs] == [(gasket.n, gasket.m)] * 3
+    assert np.array_equal(np.diff(graphs[1].indptr), np.diff(gasket.indptr))
+    assert metric_kinds(graphs) == ["_Rows"] * 3
+    for g in graphs:
+        rows = _bfs(_adjacency(g.indptr, g.indices, g.n), np.arange(g.n),
+                    min_only=False)
+        for u in range(g.n):
+            assert np.array_equal(g.distance_row(u), rows[u])
+        assert g.distance(0, g.n - 1) == rows[0, g.n - 1]
+        assert g.eccentricity(1) == rows[1].max()
+
+
+def test_gasket_beyond_max_level_takes_rows(monkeypatch):
+    # a loaded gasket deeper than its codes' dtypes hold takes rows
+    monkeypatch.setattr(graph_module, "GASKET_MAX_LEVEL", 3)
+    graphs = [gen_sierpinski(3), gen_sierpinski(4)]
+    assert metric_kinds(graphs) == ["_Gasket", "_Rows"]
+
+
+def test_level_one_gasket_is_the_3_ring():
+    # the lattice check runs first; both closed forms agree on it anyway
+    g = gen_sierpinski(1)
+    assert g.lattice_hint == LatticeHint(1, 3, True)
+    assert metric_kinds([g]) == ["_Lattice"]
+    for u in range(3):
+        assert np.array_equal(_Gasket(1).row(u), g.distance_row(u))
 
 
 def test_multi_source_bfs_is_min_over_sources():
@@ -320,7 +426,7 @@ def test_eccentricity_ring():
 def test_lattice_eccentricity_closed_form_equals_rows(dim, side, wrap):
     g = gen_lattice(dim, side, wrap=wrap)
     assert g.lattice_hint == LatticeHint(dim, side, wrap)
-    plain = without_hint(g)
+    plain = on_rows(g)
     for u in sorted({0, 1, g.n // 3, g.n // 2, g.n - 2, g.n - 1}):
         want = int(plain.distance_row(u).max())
         assert g.eccentricity(u) == want == int(g.distance_row(u).max())
@@ -330,7 +436,7 @@ def test_lattice_eccentricity_closed_form_equals_rows(dim, side, wrap):
 def test_helpers_equal_on_lattice_and_its_bfs_copy(dim, side, wrap):
     # the helpers threshold distance_row: closed form here, BFS rows there
     g = gen_lattice(dim, side, wrap=wrap)
-    plain = without_hint(g)
+    plain = on_rows(g)
     for u in sorted({0, g.n // 3, g.n - 1}):
         assert np.array_equal(bfs(g, u), bfs(plain, u))
         for radius in range(4):
@@ -376,7 +482,8 @@ def test_relabelled_lattice_rows_equal_bfs_rows(case):
         assert copy.lattice_hint == g.lattice_hint
     if copy.lattice_hint is not None:
         for u in range(copy.n):
-            bfs_row = _bfs(copy.indptr, copy.indices, copy.n, (u,))
+            bfs_row = _bfs(_adjacency(copy.indptr, copy.indices, copy.n),
+                           (u,))
             assert np.array_equal(copy.distance_row(u), bfs_row)
     for u in sorted({0, g.n // 2, g.n - 1}):
         assert np.array_equal(copy.distance_row(perm[u])[perm],
@@ -403,10 +510,10 @@ def test_ball_closed_form_2d():
 
 
 def test_ball_profile_matches_ball_sizes():
-    # the hinted lattice takes the closed-form row, its copy the BFS row
+    # the lattice takes the closed-form row, its copy the BFS row
     lattice = gen_lattice(2, 9)
-    plain = without_hint(lattice)
-    assert lattice.lattice_hint is not None and plain.lattice_hint is None
+    plain = on_rows(lattice)
+    assert metric_kinds([lattice, plain]) == ["_Lattice", "_Rows"]
     for g in (random_connected_graph(45, 30, seed=5), lattice, plain):
         prof = ball_profile(g, 9)
         for radius in range(len(prof)):
@@ -476,8 +583,9 @@ def test_pack_count_band_side64():
 @st.composite
 def saved_graphs(draw):
     """Random connected graphs, lattices of dims 1-3 wrapped and not,
-    and Sierpinski gaskets."""
-    kind = draw(st.sampled_from(["random", "lattice", "gasket"]))
+    and Sierpinski gaskets as built and relabelled (on csgraph rows)."""
+    kind = draw(st.sampled_from(["random", "lattice", "gasket",
+                                 "permuted gasket"]))
     if kind == "random":
         n = draw(st.integers(1, 60))
         extra = draw(st.integers(0, (n - 1) * (n - 2) // 2))
@@ -485,6 +593,9 @@ def saved_graphs(draw):
                                       draw(st.integers(0, 2 ** 16)))
     if kind == "gasket":
         return gen_sierpinski(draw(st.integers(1, 5)))
+    if kind == "permuted gasket":
+        return permuted(gen_sierpinski(draw(st.integers(2, 5))),
+                        draw(st.integers(0, 2 ** 16)))
     dim, wrap = draw(st.integers(1, 3)), draw(st.booleans())
     side = draw(st.integers(3 if wrap else 2, (40, 12, 6)[dim - 1]))
     return gen_lattice(dim, side, wrap=wrap)
@@ -500,6 +611,7 @@ def test_save_load_round_trip(tmp_path, g):
     assert np.array_equal(g2.indptr, g.indptr)
     assert np.array_equal(g2.indices, g.indices)
     assert g2.lattice_hint == g.lattice_hint
+    assert metric_kinds([g2]) == metric_kinds([g])
     g2.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import stats
 
-from fgsw import (Graph, HighwayOverlay, OverlayError, OverlayParams,
-                  build_overlay, gen_lattice, rng, route, route_batch,
-                  sample_far_pairs, sample_highway_membership)
+from fgsw import (HighwayOverlay, OverlayError, OverlayParams, build_overlay,
+                  gen_lattice, rng, route, route_batch, sample_far_pairs,
+                  sample_highway_membership)
 from fgsw.overlay import MAX_DRAWS_PER_NODE, MAX_MEMBERSHIP_EPOCHS
 from fgsw.rng import DOMAIN_MEMBERSHIP, substream
+from test_graph import metric_kinds, on_rows
 
 
 def all_highway_ring8(s=1.0, seed=0, q=3.0):
@@ -195,11 +196,10 @@ def test_lazy_equals_eager_any_access_order():
 
 
 def test_closed_form_and_bfs_overlays_are_bitwise_equal():
-    # the hinted lattice takes closed-form subset distances, its copy BFS rows
+    # the lattice takes closed-form subset distances, its copy BFS rows
     lattice = gen_lattice(2, 24)
-    plain = Graph(lattice.n, lattice.indptr.copy(), lattice.indices.copy())
-    plain.lattice_hint = None  # the copy recognises itself; force BFS
-    assert lattice.lattice_hint is not None and plain.lattice_hint is None
+    plain = on_rows(lattice)
+    assert metric_kinds([lattice, plain]) == ["_Lattice", "_Rows"]
     params = OverlayParams(k=5, q=2, s=2.3, seed=4)
     for materialize in (False, True):
         hinted = build_overlay(lattice, params, materialize=materialize)

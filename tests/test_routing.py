@@ -10,7 +10,7 @@ from fgsw import (HighwayOverlay, OverlayError, OverlayParams, RoutingError,
 from fgsw.graph import BLOCK_CELLS, Graph
 from fgsw.overlay import MAX_DRAWS_PER_NODE
 from fgsw.rng import substream
-from test_graph import random_connected_graph
+from test_graph import metric_kinds, permuted, random_connected_graph
 
 VARIANTS = ("plain", "highway-sticky", "highway-aware")
 
@@ -356,13 +356,19 @@ def test_routing_invariants_on_random_graphs(n, extra, k, q, s, seed, ends):
 
 
 def test_route_batch_spans_blocks_without_hint():
-    g = gen_sierpinski(7)
-    assert g.lattice_hint is None and 150 > 2 * (BLOCK_CELLS // g.n)
-    ov = build_overlay(g, OverlayParams(k=4, q=2, s=2, seed=3))
-    pairs = random_pairs(g.n, 150, seed=5)
-    for variant in VARIANTS:
-        assert route_batch(g, ov, pairs, variant) \
-            == scalar_traces(g, ov, pairs, variant)
+    # the relabelled gasket's rows hold n cells per target, so its walks
+    # go in blocks of at most BLOCK_CELLS // n; the gasket's closed form
+    # routes them all in one
+    gasket = gen_sierpinski(7)
+    relabelled = permuted(gasket, 4)
+    assert metric_kinds([gasket, relabelled]) == ["_Gasket", "_Rows"]
+    assert 150 > 2 * (BLOCK_CELLS // relabelled.n)
+    pairs = random_pairs(gasket.n, 150, seed=5)
+    for g in (gasket, relabelled):
+        ov = build_overlay(g, OverlayParams(k=4, q=2, s=2, seed=3))
+        for variant in VARIANTS:
+            assert route_batch(g, ov, pairs, variant) \
+                == scalar_traces(g, ov, pairs, variant)
 
 
 RING16_CONTACTS = ("h 0 z=1 : 5 10 12\n"
