@@ -69,10 +69,12 @@ class DimacsImport:
 
 
 def _dimacs_ints(path, lineno: int, fields: list, what: str) -> list:
-    """The integer fields of one DIMACS line, each within int64."""
+    """The integer fields of one DIMACS line, each within int64 and
+    written without the digit-group underscores int() reads (`1_0`)."""
     try:
         values = [int(f) for f in fields]
-        if all(-2 ** 63 <= x < 2 ** 63 for x in values):
+        if all(-2 ** 63 <= x < 2 ** 63 for x in values) \
+                and not any("_" in f for f in fields):
             return values
     except ValueError:
         pass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .graph import Graph, multi_source_bfs
+from .graph import BLOCK_CELLS, Graph, multi_source_bfs
 
 MAX_MEMBERSHIP_EPOCHS = 16
 # most contact draws per highway node: 2**24 uniforms are 128 MiB for
@@ -27,6 +27,15 @@ MAX_DRAWS_PER_NODE = 1 << 24
 
 class OverlayError(ValueError):
     """Invalid overlay parameters or malformed overlay data."""
+
+
+def _number(kind, token: str) -> float:
+    """kind(token), or NaN where kind refuses it or an int is no int32."""
+    try:
+        value = kind(token)
+    except ValueError:
+        return math.nan
+    return value if kind is float or -1 << 31 <= value < 1 << 31 else math.nan
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,10 @@ class HighwayOverlay:
     and is min(round(q*k), |H| - 1) wide. A built row holds the node's
     contacts in ascending order, padded with the node's own id; an
     unbuilt row is all -1. ``_cache`` maps a built node to (z, its row
-    without the padding). The caches are filled without locks, so an
-    overlay is single-threaded.
+    without the padding). ``save`` builds every row, then formats the
+    table in blocks; ``load`` checks a file as whole arrays and fills
+    the table and ``_cache`` at once. The caches are filled without
+    locks, so an overlay is single-threaded.
     """
 
     def __init__(self, graph: Graph, params: OverlayParams,
@@ -129,15 +140,12 @@ class HighwayOverlay:
         if u not in self._cache:
             z, drawn = self._draw(u, self.params.draws_per_node,
                                   rng.DOMAIN_CONTACTS, self.epoch, u)
-            self._store(u, z, np.unique(drawn))
+            contacts = np.unique(drawn)
+            row = self.contact_table[np.searchsorted(self.highway_ids, u)]
+            row[:] = u
+            row[:contacts.size] = contacts
+            self._cache[u] = (z, row[:contacts.size])
         return self._cache[u]
-
-    def _store(self, u: int, z: float, contacts: np.ndarray) -> None:
-        """Write u's contact-table row; cache z and the unpadded row."""
-        row = self.contact_table[np.searchsorted(self.highway_ids, u)]
-        row[:] = u
-        row[:contacts.size] = contacts
-        self._cache[u] = (z, row[:contacts.size])
 
     def _require_highway(self, u: int) -> None:
         if not self.is_highway[self.graph._node(u)]:
@@ -186,7 +194,8 @@ class HighwayOverlay:
 
     def zvalues(self) -> np.ndarray:
         """z over all highway nodes, aligned with highway_ids."""
-        return np.array([self.zvalue(int(u)) for u in self.highway_ids])
+        self.materialize_all()
+        return np.array([self._cache[u][0] for u in self.highway_ids.tolist()])
 
     # -- nearest-highway field ------------------------------------------
 
@@ -216,76 +225,96 @@ class HighwayOverlay:
         """Text format: `k q s seed epoch n` header, then one
         `h <id> z=<z> : t1 t2 ...` line per highway node, ascending; a
         line holds at most round(q*k) contacts."""
-        p = self.params
+        p, ids, table = self.params, self.highway_ids, self.contact_table
+        z = self.zvalues()  # builds every row
+        count = (table != ids[:, None]).sum(axis=1)  # padding repeats u
+        # each line's u, z and contacts as float64 cells; ids are exact
+        # there, and `%d` prints them whole
+        cells = np.column_stack([ids, z, table])[
+            np.arange(table.shape[1] + 2) < count[:, None] + 2]
+        start = np.concatenate([[0], np.cumsum(count + 2)])  # a line's cells
+        step = max(1, BLOCK_CELLS // (table.shape[1] + 2))  # lines a block
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"{p.k:.17g} {p.q:.17g} {p.s:.17g} {p.seed} "
                      f"{self.epoch} {self.graph.n}\n")
-            for u in self.highway_ids:
-                z, contacts = self._materialize(int(u))
-                tail = " ".join(str(int(t)) for t in contacts)
-                fh.write(f"h {int(u)} z={z:.17g} : {tail}\n")
+            for r in range(0, ids.size, step):
+                c = count[r:r + step].tolist()
+                block = cells[start[r]:start[r + len(c)]].tolist()
+                fh.write("".join("h %d z=%.17g :" + " %d" * i + "\n"
+                                 for i in c) % tuple(block))
 
     @classmethod
     def load(cls, graph: Graph, path) -> "HighwayOverlay":
+        """Read the `save` format: each line is split once, then each
+        check runs over whole arrays and names the first line failing it."""
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            # int() and float() read `1_0` as 10 but refuse `1?0`
+            lines = fh.read().replace("_", "?").splitlines()
         if not lines:
             raise OverlayError(f"{path}: empty overlay file")
         head = lines[0].split()
         if len(head) != 6:
             raise OverlayError(f"{path}: header must be `k q s seed epoch n`")
         try:
-            k, q, s = float(head[0]), float(head[1]), float(head[2])
-            seed, epoch, n = int(head[3]), int(head[4]), int(head[5])
+            k, q, s = map(float, head[:3])
+            seed, epoch, n = map(int, head[3:])
         except ValueError as exc:
             raise OverlayError(f"{path}: malformed header") from exc
         if n != graph.n:
             raise OverlayError(
                 f"{path}: overlay is for n={n}, graph has n={graph.n}")
+        if not 0 <= epoch < MAX_MEMBERSHIP_EPOCHS:
+            raise OverlayError(f"{path}: epoch {epoch} is outside "
+                               f"[0, {MAX_MEMBERSHIP_EPOCHS})")
         params = OverlayParams(k=k, q=q, s=s, seed=seed)
-        is_highway = np.zeros(n, dtype=bool)
-        parsed: list[tuple[int, float, np.ndarray]] = []
-        prev = -1
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split()
-            if len(parts) < 4 or parts[0] != "h" or parts[2][:2] != "z=" \
-                    or parts[3] != ":":
-                raise OverlayError(f"{path}:{lineno}: malformed highway line")
-            try:
-                u = int(parts[1])
-                z = float(parts[2][2:])
-                contacts = np.array([int(t) for t in parts[4:]],
-                                    dtype=np.int32)
-            except (ValueError, OverflowError) as exc:
-                raise OverlayError(f"{path}:{lineno}: malformed values") from exc
-            if not 0 <= u < n:
-                raise OverlayError(f"{path}:{lineno}: node {u} out of range")
-            if contacts.size == 0:
-                raise OverlayError(f"{path}:{lineno}: no contacts")
-            if contacts.min() < 0 or contacts.max() >= n:
-                raise OverlayError(f"{path}:{lineno}: contact id out of range")
-            if contacts.size > params.draws_per_node:
-                raise OverlayError(f"{path}:{lineno}: more than round(q*k) = "
-                                   f"{params.draws_per_node} contacts")
-            if u <= prev:
-                raise OverlayError(f"{path}:{lineno}: ids must be ascending")
-            if not (np.isfinite(z) and z > 0):
-                raise OverlayError(f"{path}:{lineno}: bad z value")
-            prev = u
-            is_highway[u] = True
-            parsed.append((u, z, contacts))
-        if len(parsed) < 2:
+
+        def refuse(bad, what, *values, line=None):
+            """Refuse body line i, or line[i], for the first i where
+            ``bad`` holds; ``what`` is formatted with ``values`` at i."""
+            if bad.any():
+                i = int(bad.argmax())
+                lineno = (i if line is None else line[i]) + 2
+                raise OverlayError(f"{path}:{lineno}: "
+                                   + what.format(*(v[i] for v in values)))
+
+        parts = [line.split() for line in lines[1:]]
+        refuse(np.array([len(t) < 4 or t[0] != "h" or t[3] != ":"
+                         or t[2][:2] != "z=" for t in parts], dtype=bool),
+               "malformed highway line")
+        count = np.array([len(t) - 4 for t in parts], dtype=np.int64)
+        owner = np.repeat(np.arange(count.size), count)  # a contact's line
+        # float64 throughout: NaN marks a refused token, ints are exact
+        ids = np.array([_number(int, t[1]) for t in parts], dtype=float)
+        z = np.array([_number(float, t[2][2:]) for t in parts], dtype=float)
+        contacts = np.array([_number(int, c) for t in parts for c in t[4:]],
+                            dtype=float)
+        malformed = np.isnan(ids) | np.isnan(z)
+        malformed[owner[np.isnan(contacts)]] = True
+        refuse(malformed, "malformed values")
+        ids, contacts = ids.astype(np.int64), contacts.astype(np.int64)
+        refuse((ids < 0) | (ids >= n), "node {} out of range", ids)
+        refuse(count == 0, "no contacts")
+        refuse((contacts < 0) | (contacts >= n), "contact id out of range",
+               line=owner)
+        refuse(count > params.draws_per_node,
+               f"more than round(q*k) = {params.draws_per_node} contacts")
+        refuse(np.diff(ids, prepend=-1) <= 0, "ids must be ascending")
+        refuse(~(np.isfinite(z) & (z > 0)), "bad z value")
+        if count.size < 2:
             raise OverlayError(f"{path}: fewer than 2 highway nodes")
+        is_highway = np.bincount(ids, minlength=n) > 0
+        refuse(~is_highway[contacts], "node {} has non-highway contact {}",
+               ids[owner], contacts, line=owner)
+        bad = contacts == ids[owner]
+        bad[1:] |= (np.diff(contacts) <= 0) & (np.diff(owner) == 0)
+        refuse(bad, "node {} has self or unsorted contacts", ids[owner],
+               line=owner)
         overlay = cls(graph, params, is_highway, epoch)
-        for u, z, contacts in parsed:
-            bad = contacts[~is_highway[contacts]]
-            if bad.size:
-                raise OverlayError(
-                    f"{path}: node {u} has non-highway contact {int(bad[0])}")
-            if np.any(contacts == u) or np.any(np.diff(contacts) <= 0):
-                raise OverlayError(
-                    f"{path}: node {u} has self or unsorted contacts")
-            overlay._store(u, z, contacts)
+        table = overlay.contact_table
+        table[:] = ids[:, None]  # padding, then each row's contacts
+        table[np.arange(table.shape[1]) < count[:, None]] = contacts
+        overlay._cache = {u: (zu, row[:c]) for u, zu, row, c in
+                          zip(ids.tolist(), z.tolist(), table, count.tolist())}
         return overlay
 
 

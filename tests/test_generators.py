@@ -1,6 +1,7 @@
 """Generators: lattices, Sierpinski gaskets, DIMACS import."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,19 @@ def test_dimacs_rejects_non_integer_endpoint(tmp_path):
     p = tmp_path / "t.gr"
     p.write_text("p sp 3 1\na 1 x 1\n")
     with pytest.raises(GraphFormatError, match="non-integer arc"):
+        import_dimacs(p)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("p sp 20 1\na 1_0 2 1\n", 2),
+    ("p sp 2_0 1\na 10 2 1\n", 1),
+])
+def test_dimacs_rejects_digit_group_underscores(tmp_path, text, line):
+    # int() reads `1_0` as 10; a DIMACS integer is plain digits
+    p = tmp_path / "t.gr"
+    p.write_text(text)
+    with pytest.raises(GraphFormatError,
+                       match=re.escape(f"{p}:{line}: non-integer")):
         import_dimacs(p)
 
 

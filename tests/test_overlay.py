@@ -8,6 +8,7 @@ from scipy import stats
 from fgsw import (HighwayOverlay, OverlayError, OverlayParams, build_overlay,
                   gen_lattice, rng, route, route_batch, sample_far_pairs,
                   sample_highway_membership)
+from fgsw import overlay as overlay_module
 from fgsw.overlay import MAX_DRAWS_PER_NODE, MAX_MEMBERSHIP_EPOCHS
 from fgsw.rng import DOMAIN_MEMBERSHIP, substream
 from test_graph import metric_kinds, on_rows
@@ -354,6 +355,22 @@ def test_save_load_round_trip(tmp_path, k, q, s, seed):
                 == [ov.zvalue(int(u)).hex() for u in ov.highway_ids])
 
 
+@pytest.mark.parametrize("block_cells", [1, 7, 40, 1 << 16])
+def test_save_writes_the_per_line_format_in_blocks(tmp_path, monkeypatch,
+                                                   block_cells):
+    monkeypatch.setattr(overlay_module, "BLOCK_CELLS", block_cells)
+    g = gen_lattice(2, 10)
+    ov = build_overlay(g, OverlayParams(k=3, q=3, s=2, seed=4),
+                       materialize=False)
+    ov.save(tmp_path / "o.ov")
+    p = ov.params
+    expected = [f"{p.k:.17g} {p.q:.17g} {p.s:.17g} {p.seed} {ov.epoch} {g.n}"]
+    for u in ov.highway_ids.tolist():  # the line-at-a-time reference
+        tail = " ".join(str(t) for t in ov.contacts(u).tolist())
+        expected.append(f"h {u} z={ov.zvalue(u):.17g} : {tail}")
+    assert (tmp_path / "o.ov").read_text() == "\n".join(expected) + "\n"
+
+
 def path3():
     return gen_lattice(1, 3, wrap=False)
 
@@ -371,6 +388,9 @@ def test_load_minimal_valid_file(tmp_path):
     ov = load_text(tmp_path, GOOD)
     assert list(ov.highway_ids) == [0, 2]
     assert ov.zvalue(2) == 0.5
+    last = MAX_MEMBERSHIP_EPOCHS - 1  # the last epoch a draw can give
+    ov = load_text(tmp_path, GOOD.replace(" 0 3", f" {last} 3", 1))
+    assert ov.epoch == last
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -397,7 +417,81 @@ def test_load_minimal_valid_file(tmp_path):
     ("1e12 1 1 0 0 3\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0\n",
      "round\\(q\\*k\\) = 1000000000000 is above"),
     ("2 1 1 0 0 3\nh 0 z=0.5 : 2 2\nh 2 z=0.5 : 0\n", "self or unsorted"),
+    # int() and float() read digit groups: `1_0` is 10
+    ("2 1 1 0 0 3\nh 0_0 z=0.5 : 2\nh 2 z=0.5 : 0\n",
+     "ov.txt:2: malformed values"),
+    ("2 1 1 0 0 3\nh 0 z=0_0.5 : 2\nh 2 z=0.5 : 0\n",
+     "ov.txt:2: malformed values"),
+    ("2 1 1 0 0 3\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0_0\n",
+     "ov.txt:3: malformed values"),
+    ("2 1 1 0 0 0_3\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0\n", "malformed header"),
+    ("2_0 1 1 0 0 3\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0\n", "malformed header"),
+    # no membership draw has an epoch outside [0, MAX_MEMBERSHIP_EPOCHS)
+    ("2 1 1 0 -3 3\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0\n",
+     "ov.txt: epoch -3 is outside \\[0, 16\\)"),
+    ("2 1 1 0 16 3\nh 0 z=0.5 : 2\nh 2 z=0.5 : 0\n",
+     "ov.txt: epoch 16 is outside \\[0, 16\\)"),
 ])
 def test_load_rejects_malformed_files(tmp_path, text, msg):
     with pytest.raises(OverlayError, match=msg):
         load_text(tmp_path, text)
+
+
+# four highway nodes on the 8-ring, on body lines 2 to 5
+RING8 = ["2 1 1 0 0 8", "h 0 z=0.5 : 2 4", "h 2 z=0.5 : 0 4",
+         "h 4 z=0.5 : 0 2", "h 6 z=0.5 : 0 4"]
+
+
+def load_ring8(tmp_path, lines):
+    p = tmp_path / "ov.txt"
+    p.write_text("\n".join(lines) + "\n")
+    return HighwayOverlay.load(gen_lattice(1, 8), p)
+
+
+@pytest.mark.parametrize("line4, msg", [
+    ("h 4 z=0.5 0 2", "malformed highway line"),
+    ("g 4 z=0.5 : 0 2", "malformed highway line"),
+    ("h 4 z=abc : 0 2", "malformed values"),
+    ("h 4 z=0.5 : 0 x", "malformed values"),
+    ("h 4 z=0.5 : 0 2_0", "malformed values"),
+    ("h 9 z=0.5 : 0 2", "node 9 out of range"),
+    ("h 4 z=0.5 :", "no contacts"),
+    ("h 4 z=0.5 : 0 9", "contact id out of range"),
+    ("h 4 z=0.5 : 0 2 6", "more than round\\(q\\*k\\) = 2 contacts"),
+    ("h 1 z=0.5 : 0 2", "ids must be ascending"),
+    ("h 4 z=-1 : 0 2", "bad z value"),
+    ("h 4 z=0.5 : 0 3", "node 4 has non-highway contact 3"),
+    ("h 4 z=0.5 : 0 4", "node 4 has self or unsorted contacts"),
+    ("h 4 z=0.5 : 2 0", "node 4 has self or unsorted contacts"),
+    ("h 4 z=0.5 : 2 2", "node 4 has self or unsorted contacts"),
+])
+def test_load_names_the_first_faulty_line(tmp_path, line4, msg):
+    assert load_ring8(tmp_path, RING8).highway_ids.tolist() == [0, 2, 4, 6]
+    lines = RING8[:3] + [line4] + RING8[4:]
+    with pytest.raises(OverlayError, match=f"ov.txt:4: {msg}$"):
+        load_ring8(tmp_path, lines)
+    # node 6's line with the same fault: line 4 is still the one named
+    lines[4] = line4.replace("h 4", "h 6").replace(" 4", " 6")
+    with pytest.raises(OverlayError, match="ov.txt:4: "):
+        load_ring8(tmp_path, lines)
+
+
+def test_load_reads_any_whitespace_like_the_canonical_file(tmp_path):
+    g = gen_lattice(2, 8)
+    ov = build_overlay(g, OverlayParams(k=3, q=3, s=2, seed=5))
+    ov.save(tmp_path / "canonical.ov")
+    text = (tmp_path / "canonical.ov").read_text()
+    messy = tmp_path / "messy.ov"
+    # tabs, doubled spaces, leading and trailing blanks, CRLF endings
+    messy.write_bytes("\r\n".join(
+        (" \t" if i % 2 else "") + line.replace(" ", "\t" if i % 3 else "  ")
+        + ("  " if i % 5 else "")
+        for i, line in enumerate(text.splitlines())).encode() + b"\r\n")
+    assert messy.read_bytes() != (tmp_path / "canonical.ov").read_bytes()
+    loaded = HighwayOverlay.load(g, messy)
+    assert np.array_equal(loaded.highway_ids, ov.highway_ids)
+    assert np.array_equal(loaded.contact_table, ov.contact_table)
+    assert np.array_equal(loaded.zvalues().view(np.int64),
+                          ov.zvalues().view(np.int64))
+    loaded.save(tmp_path / "again.ov")
+    assert (tmp_path / "again.ov").read_text() == text
