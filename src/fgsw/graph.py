@@ -4,10 +4,11 @@ Hop distance is the only metric in the package, and ``Graph`` holds it:
 ``distance_row(u)``, ``distances(u, targets)``, ``distance(u, v)``,
 ``distances_to(targets)`` (a lookup into a block of target rows) and
 ``eccentricity(u)``. ``Graph._node`` is the package's one check of a
-scalar node id, which the overlay and ``route`` call too: an id outside
-[0, n) is a ValueError and one that is not an integer (a float, say) a
-TypeError; numpy integers pass. ``Graph._nodes`` is its array form,
-which ``route_batch`` and ``contact_rows`` call.
+scalar node id, which the overlay calls too: an id outside [0, n) is a
+ValueError and one that is not an integer (a float, say) a TypeError;
+numpy integers pass. ``Graph._nodes`` is its array form, with the same
+errors for the first failing id in flat order, which ``route_batch``
+(and so ``route``) and ``contact_rows`` call.
 
 All five methods ask one private metric object per graph, picked from
 the graph's own CSR arrays, whatever built them:
@@ -92,6 +93,22 @@ class Graph:
         level = _recognize_gasket(self.n, self.indptr, self.indices)
         return _Gasket(level) if level else _Rows(self)
 
+    @cached_property
+    def _neighbour_table(self) -> np.ndarray:
+        """Neighbours of every node in ascending order, one row per node,
+        padded to the largest degree with the row's own node (int32); on
+        a regular graph, a view of ``indices``."""
+        degree = np.diff(self.indptr)
+        width = int(degree.max())
+        if degree.min() == width:
+            return self.indices.reshape(self.n, width)
+        table = np.repeat(np.arange(self.n, dtype=np.int32)[:, None], width,
+                          axis=1)
+        heads = np.repeat(np.arange(self.n), degree)
+        table[heads, np.arange(heads.size) - self.indptr[heads]] = \
+            self.indices
+        return table
+
     @property
     def m(self) -> int:
         return int(self.indptr[-1]) // 2
@@ -142,17 +159,19 @@ class Graph:
         return u
 
     def _nodes(self, nodes) -> np.ndarray:
-        """``_node`` over an array: the ids as int64; TypeError unless a
-        non-empty array holds integers, ValueError for the first id
-        outside [0, n)."""
+        """``_node`` over an array, in flat order: the ids as int64.
+        Ids that numpy holds in no integer dtype (floats, strings, or
+        integers beyond int64 beside others) are checked one by one, so
+        each error is ``_node``'s for the first id that fails."""
         ids = np.asarray(nodes)
         if ids.size and ids.dtype.kind not in "iu":
-            raise TypeError(f"node ids must be integers, got {ids.dtype}")
-        ids = ids.astype(np.int64)
+            ids = np.asarray(nodes, dtype=object)
+            return np.array([self._node(u) for u in ids.flat],
+                            dtype=np.int64).reshape(ids.shape)
         bad = np.flatnonzero((ids < 0) | (ids >= self.n))
         if bad.size:
             raise ValueError(f"node {int(ids.flat[bad[0]])} out of range")
-        return ids
+        return ids.astype(np.int64)
 
     def distance_row(self, u: int) -> np.ndarray:
         """Hop distance from u to every node (int32)."""

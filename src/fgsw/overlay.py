@@ -111,6 +111,9 @@ class HighwayOverlay:
         self.epoch = epoch
         self.is_highway = is_highway
         self.highway_ids = np.flatnonzero(is_highway).astype(np.int32)
+        if self.highway_ids.size < 2:
+            raise OverlayError(f"fewer than 2 highway nodes "
+                               f"({self.highway_ids.size} flagged)")
         width = min(params.draws_per_node, self.highway_ids.size - 1)
         self.contact_table = np.full((self.highway_ids.size, width), -1,
                                      dtype=np.int32)

@@ -24,11 +24,11 @@ Every hop is labeled with its edge kind (local / long-range); its phase
 (to-highway / on-highway / to-target) follows from the kinds and the
 trace's ``hops_to_highway``, as ``RoutingTrace.phases`` says.
 
-``route`` walks one pair hop by hop; its hop rule, ``_next_hop``, is the
-reference. ``route_batch`` applies the same rule to a whole batch in
-lockstep: every live walk of a block advances one hop per numpy step,
-reading its contacts from the overlay's padded ``contact_table`` rows,
-and each of its traces equals ``route``'s for the same pair.
+``route_batch`` walks a whole batch in lockstep: every live walk of a
+block advances one hop per numpy step, reading its contacts from the
+overlay's padded ``contact_table`` rows. A walk's trace does not depend
+on the other pairs of its batch, so ``route`` is ``route_batch`` on one
+pair.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ TRACE_COLUMNS = ("pair_id", "source", "target", "variant", "hops",
 
 
 class RoutingError(RuntimeError):
-    """A routing invariant failed (no improving move, runaway walk)."""
+    """A routing invariant failed (no improving local move, or a trace
+    that is not a walk of its kind)."""
 
 
 @dataclass
@@ -102,80 +103,16 @@ def _boarding(flags: list[bool]) -> int:
     return (flags[:-1] + [True]).index(True)
 
 
-def _next_hop(graph: Graph, overlay: HighwayOverlay, dist_t: np.ndarray,
-              cur: int, plain: bool) -> tuple[int, str]:
-    """Next node of a greedy walk at ``cur`` and the kind of its edge.
-
-    Sticky and aware walks take the best contact of a highway node
-    (closest to the target, lowest id on ties) whenever it improves.
-    Otherwise the step goes to the lowest-id neighbor closest to the
-    target, which must improve: plain swaps in an improving contact that
-    is smaller by (distance, id), and sticky and aware board the closest
-    improving highway neighbor (lowest id on ties) if there is one.
-    """
-    d_cur = dist_t[cur]
-    contact = None
-    if overlay.is_highway[cur]:
-        contacts = overlay.contacts(cur)
-        if contacts.size:
-            i = int(np.argmin(dist_t[contacts]))  # contacts ascend
-            if dist_t[contacts[i]] < d_cur:
-                contact = int(contacts[i])
-                if not plain:
-                    return contact, KIND_LONG
-    nbrs = graph.neighbors(cur)
-    d = dist_t[nbrs]
-    i = int(np.argmin(d))  # neighbors ascend, argmin takes first
-    if d[i] >= d_cur:
-        raise RoutingError(
-            f"no improving local move at node {cur} (connected graph "
-            f"should always have one)")
-    if not plain:
-        onto = np.flatnonzero(overlay.is_highway[nbrs] & (d < d_cur))
-        if onto.size:
-            i = int(onto[np.argmin(d[onto])])
-    elif contact is not None and \
-            (dist_t[contact], contact) < (d[i], int(nbrs[i])):
-        return contact, KIND_LONG
-    return int(nbrs[i]), KIND_LOCAL
-
-
 def route(graph: Graph, overlay: HighwayOverlay, source: int, target: int,
           variant: str = "highway-sticky") -> RoutingTrace:
-    """Run one greedy walk by ``_next_hop`` over the target's
-    ``distance_row``; always succeeds on a connected graph."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    source = graph._node(source)
-    dist_t = graph.distance_row(target)
-    trace = RoutingTrace(source=source, target=target, variant=variant,
-                         path=[source], dist_st=int(dist_t[source]))
-    is_hw = overlay.is_highway
-    cur = source
-    plain = variant == "plain"
-    hop_cap = 4 * graph.n + 16
-
-    if variant == "highway-aware":
-        _, next_hop = overlay.nearest_highway()
-        while cur != target and not is_hw[cur]:
-            cur = int(next_hop[cur])
-            trace.path.append(cur)
-            trace.edge_kinds.append(KIND_LOCAL)
-
-    while cur != target:
-        if len(trace.path) > hop_cap:
-            raise RoutingError("walk exceeded the hop cap")
-        cur, kind = _next_hop(graph, overlay, dist_t, cur, plain)
-        trace.path.append(cur)
-        trace.edge_kinds.append(kind)
-    trace.hops_to_highway = _boarding(is_hw[trace.path].tolist())
-    return trace
+    """One greedy walk: ``route_batch`` on the single pair."""
+    return route_batch(graph, overlay, [(source, target)], variant)[0]
 
 
 def route_batch(graph: Graph, overlay: HighwayOverlay,
                 pairs: Sequence[tuple[int, int]],
                 variant: str = "highway-sticky") -> list[RoutingTrace]:
-    """Route every pair; traces in input order, each equal to ``route``'s.
+    """Route every pair; traces in input order.
 
     Walks advance in lockstep on one thread, one hop per numpy step, in
     blocks whose step holds at most about BLOCK_CELLS candidate cells
@@ -199,12 +136,15 @@ def route_batch(graph: Graph, overlay: HighwayOverlay,
 
 
 class _Lockstep:
-    """``_next_hop`` over a block of walks at once.
+    """The hop rule of the module docstring over a block of walks at once.
 
-    The neighbour table holds each node's neighbours in ascending order,
-    padded with the row's own node, whose distance never improves on the
-    walk's; the overlay's ``contact_rows`` are padded the same way and
-    are built when a walk first stands on their node.
+    A step reads the graph's ``_neighbour_table``, which holds each
+    node's neighbours in ascending order padded with the row's own node,
+    whose distance never improves on the walk's; the overlay's
+    ``contact_rows`` are padded the same way and are built when a walk
+    first stands on their node. A walk's path buffer holds d(s, t) hops,
+    plus twice d(s, highway) for an aware walk, and every step after the
+    pointer segment must improve, so no walk outgrows it.
     """
 
     def __init__(self, graph: Graph, overlay: HighwayOverlay, variant: str):
@@ -213,7 +153,7 @@ class _Lockstep:
         self.variant = variant
         self.plain = variant == "plain"
         self.is_hw = overlay.is_highway
-        self.nbrs = _neighbour_table(graph)
+        self.nbrs = graph._neighbour_table
         self.nearest = (overlay.nearest_highway()
                         if variant == "highway-aware" else None)
 
@@ -311,20 +251,6 @@ class _Lockstep:
                 for s, t, a, k, d in zip(source.tolist(), target.tolist(),
                                          start.tolist(), size.tolist(),
                                          dist_st.tolist())]
-
-
-def _neighbour_table(graph: Graph) -> np.ndarray:
-    """Neighbours of every node in ascending order, one row per node,
-    padded to the largest degree with the row's own node (int32)."""
-    degree = np.diff(graph.indptr)
-    width = int(degree.max())
-    if degree.min() == width:  # regular graph: the CSR indices as they are
-        return graph.indices.reshape(graph.n, width)
-    table = np.repeat(np.arange(graph.n, dtype=np.int32)[:, None], width,
-                      axis=1)
-    heads = np.repeat(np.arange(graph.n), degree)
-    table[heads, np.arange(heads.size) - graph.indptr[heads]] = graph.indices
-    return table
 
 
 def validate_trace(graph: Graph, overlay: HighwayOverlay,

@@ -14,7 +14,7 @@ from scipy import stats as sstats
 
 from fgsw import (Graph, OverlayParams, build_overlay, estimate_alpha,
                   estimate_diameter, gen_lattice, gen_sierpinski,
-                  highway_distance_stats, route, route_batch,
+                  highway_distance_stats, route_batch,
                   sample_far_pairs, shell_highway_stats,
                   sweep_clustering_exponent, validate_trace, z_stats)
 from fgsw.cli import main
@@ -290,16 +290,15 @@ def test_criterion_10_routing_invariants():
             ov = build_overlay(g, OverlayParams(k=3, q=2, s=2, seed=seed),
                                materialize=False)
             stream = substream(1000 + gi, 11, seed)
-            done = 0
-            while done < 250:
+            pairs = []
+            while len(pairs) < 250:
                 s, t = (int(x) for x in stream.integers(0, g.n, size=2))
-                if s == t:
-                    continue
-                done += 1
-                instances += 1
-                dist_t = g.distance_row(t)
-                for variant in ("plain", "highway-sticky", "highway-aware"):
-                    tr = route(g, ov, s, t, variant)
+                if s != t:
+                    pairs.append((s, t))
+            instances += len(pairs)
+            for variant in ("plain", "highway-sticky", "highway-aware"):
+                for (s, t), tr in zip(pairs,
+                                      route_batch(g, ov, pairs, variant)):
                     if tr.path[-1] != t:
                         violations.append(f"{variant} missed target")
                     try:
@@ -307,7 +306,7 @@ def test_criterion_10_routing_invariants():
                     except Exception as exc:  # pragma: no cover
                         violations.append(str(exc))
                     if variant == "plain":
-                        steps = np.diff(dist_t[tr.path])
+                        steps = np.diff(g.distance_row(t)[tr.path])
                         if tr.hops and not np.all(steps < 0):
                             violations.append("plain non-improving hop")
                         if tr.hops > tr.dist_st:

@@ -185,6 +185,19 @@ def test_two_highway_nodes_point_at_each_other():
     assert ov.zvalue(0) == pytest.approx(0.5)  # d=2, s=1
 
 
+def test_constructor_refuses_fewer_than_two_highway_nodes():
+    # one highway node would have no contact to draw
+    g = gen_lattice(1, 8)
+    params = OverlayParams(k=2, q=1, s=1, seed=0)
+    for ids in ([], [3]):
+        flags = np.zeros(g.n, dtype=bool)
+        flags[ids] = True
+        with pytest.raises(OverlayError,
+                           match=f"^fewer than 2 highway nodes "
+                                 f"\\({len(ids)} flagged\\)$"):
+            HighwayOverlay(g, params, flags, 0)
+
+
 def test_lazy_equals_eager_any_access_order():
     g = gen_lattice(2, 8)
     params = OverlayParams(k=3, q=2, s=2, seed=9)
@@ -260,12 +273,16 @@ def test_build_overlay_rejects_trivial_graph():
 
 
 def test_nearest_highway_single_source_path():
-    g = gen_lattice(1, 3, wrap=False)
-    flags = np.array([True, False, False])
+    # an overlay needs two highway nodes; node 5 is too far to change
+    # nodes 0-2, which see the single source 0
+    g = gen_lattice(1, 6, wrap=False)
+    flags = np.array([True, False, False, False, False, True])
     ov = HighwayOverlay(g, OverlayParams(k=2, q=1, s=1, seed=0), flags, 0)
     dist, next_hop = ov.nearest_highway()
-    assert list(dist) == [0, 1, 2]
-    assert list(next_hop) == [0, 0, 1]
+    assert list(dist[:3]) == [0, 1, 2]
+    assert list(next_hop[:3]) == [0, 0, 1]
+    assert list(dist) == [0, 1, 2, 2, 1, 0]
+    assert list(next_hop) == [0, 0, 1, 4, 5, 5]
 
 
 def test_nearest_highway_two_sources_torus():

@@ -1,12 +1,14 @@
 """Greedy routing: variants, invariants, batch determinism, trace CSV."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgsw import (HighwayOverlay, OverlayError, OverlayParams, RoutingError,
-                  build_overlay, gen_lattice, gen_sierpinski, route,
-                  route_batch, validate_trace, write_trace_csv)
+                  RoutingTrace, build_overlay, gen_lattice, gen_sierpinski,
+                  route, route_batch, validate_trace, write_trace_csv)
 from fgsw.graph import BLOCK_CELLS, Graph
 from fgsw.overlay import MAX_DRAWS_PER_NODE
 from fgsw.rng import substream
@@ -153,6 +155,21 @@ def test_route_rejects_bad_arguments():
         route(g, ov, 0, 8)
     with pytest.raises(ValueError, match="out of range"):
         route(g, ov, -1, 3)
+    # the variant first, then the source, then the target; an integer
+    # beyond int64 is out of range like any other, a float or a string
+    # is no node id
+    for source, target, variant, error, match in (
+            (2.5, 2 ** 70, "warp", ValueError, "^unknown variant"),
+            (2.5, 2 ** 70, "plain", TypeError, "float"),
+            (2 ** 70, 2.5, "plain", ValueError, f"^node {2 ** 70} out"),
+            (2 ** 64 - 1, "7", "plain", ValueError, f"^node {2 ** 64 - 1} "),
+            (1, 2 ** 64 - 3, "plain", ValueError, f"^node {2 ** 64 - 3} "),
+            (1, 2 ** 63, "plain", ValueError, f"^node {2 ** 63} "),
+            (-2 ** 63 - 1, 1, "plain", ValueError, f"^node {-2 ** 63 - 1} "),
+            (1, "7", "plain", TypeError, "str"),
+            (1, 9.0, "plain", TypeError, "float")):
+        with pytest.raises(error, match=match):
+            route(g, ov, source, target, variant)
 
 
 def test_node_ids_must_be_integers():
@@ -165,7 +182,11 @@ def test_node_ids_must_be_integers():
              lambda: route(g, ov, 2.5, 9), lambda: route(g, ov, 2, 9.0),
              lambda: ov.contacts(float(h)),
              lambda: ov.contact_rows(np.array([float(h)])),
-             lambda: route_batch(g, ov, [(2.5, 9.9)])]
+             lambda: route_batch(g, ov, [(2.5, 9.9)]),
+             lambda: route_batch(g, ov, [(2, 9), (3, 4.0)]),
+             lambda: route_batch(g, ov, [(2, "9")]),
+             lambda: route_batch(g, ov, np.array([["2", "9"]])),
+             lambda: route(g, ov, "2", 9)]
     for call in calls:
         with pytest.raises(TypeError):
             call()
@@ -173,6 +194,10 @@ def test_node_ids_must_be_integers():
     assert g.distance(np.int64(2), np.int32(0)) == 2
     assert route(g, ov, np.int64(2), np.uint8(9)) == route(g, ov, 2, 9)
     assert route_batch(g, ov, np.array([[2, 9]], dtype=np.uint16)) == \
+        [route(g, ov, 2, 9)]
+    # numpy holds int64 beside uint64 as float64, yet both are integers
+    assert route(g, ov, np.int64(2), np.uint64(9)) == route(g, ov, 2, 9)
+    assert route_batch(g, ov, [(np.uint64(2), np.int64(9))]) == \
         [route(g, ov, 2, 9)]
     assert route_batch(g, ov, []) == []
 
@@ -287,10 +312,40 @@ def test_route_batch_rejects_bad_arguments():
                        ([(0, 1), (-1, 9)], -1), ([(3, 3), (5, 12)], 12)):
         with pytest.raises(ValueError, match=f"^node {bad} out of range$"):
             route_batch(g, ov, pairs)
+    # integers beyond int64, or numpy's uint64, quote the id as written
+    for pairs, bad in (([(1, 2), (1, 2 ** 64 - 3)], 2 ** 64 - 3),
+                       ([(2 ** 70, 1)], 2 ** 70),
+                       ([(0, 1), (3, 2 ** 63), (2 ** 70, 1)], 2 ** 63),
+                       (np.array([[1, 2 ** 64 - 1]], dtype=np.uint64),
+                        2 ** 64 - 1)):
+        with pytest.raises(ValueError, match=f"^node {bad} out of range$"):
+            route_batch(g, ov, pairs)
     # ids are never regrouped into pairs
     for pairs in (np.array([[1, 2, 3], [4, 5, 6]]), [1, 2, 3, 4]):
         with pytest.raises(ValueError, match=r"shaped \(m, 2\)"):
             route_batch(g, ov, pairs)
+
+
+def test_route_batch_builds_the_neighbour_table_once_per_graph(monkeypatch):
+    builds = []
+    build = Graph._neighbour_table.func
+    table = cached_property(lambda g: builds.append(g) or build(g))
+    table.__set_name__(Graph, "_neighbour_table")
+    monkeypatch.setattr(Graph, "_neighbour_table", table)
+    graphs = [gen_lattice(2, 8), gen_sierpinski(4)]  # regular and not
+    for i, g in enumerate(graphs):
+        ov = build_overlay(g, OverlayParams(k=3, q=2, s=2, seed=1))
+        for variant in VARIANTS:
+            route_batch(g, ov, [(0, 9), (5, 1)], variant)
+            route(g, ov, 3, 7, variant)
+        assert builds == graphs[:i + 1]
+    torus, gasket = graphs
+    # a regular graph's table is its CSR indices; an irregular one pads
+    # each row with its own node
+    assert np.shares_memory(torus._neighbour_table, torus.indices)
+    for u, row in enumerate(gasket._neighbour_table):
+        nbrs = gasket.neighbors(u)
+        assert list(row) == list(nbrs) + [u] * (row.size - nbrs.size)
 
 
 def reference_phases(ov, tr):
@@ -305,13 +360,56 @@ def reference_phases(ov, tr):
     return phases
 
 
+def reference_route(g, ov, s, t, variant):
+    """The routing module's three variants, one node at a time over
+    ``distance_row(t)`` and ``contacts(u)``: the oracle for the lockstep.
+
+    Plain takes the improving neighbor or contact closest to t (lowest
+    id on ties; a node that is both is a local move). Sticky takes the
+    closest improving contact of a highway node, else the closest
+    improving highway neighbor, else the closest improving neighbor.
+    Aware first follows nearest-highway pointers, then walks as sticky.
+    """
+    dist = g.distance_row(t)
+    path, kinds = [s], []
+
+    def closest(nodes):
+        return min(nodes, key=lambda v: (dist[v], v))
+
+    if variant == "highway-aware":
+        _, next_hop = ov.nearest_highway()
+        while path[-1] != t and not ov.is_highway[path[-1]]:
+            path.append(int(next_hop[path[-1]]))
+            kinds.append("local")
+    while path[-1] != t:
+        u = path[-1]
+        nbrs = [int(v) for v in g.neighbors(u) if dist[v] < dist[u]]
+        contacts = [int(v) for v in ov.contacts(u) if dist[v] < dist[u]] \
+            if ov.is_highway[u] else []
+        if variant == "plain":
+            v = closest(nbrs + contacts)
+            kind = "local" if v in nbrs else "long-range"
+        elif contacts:
+            v, kind = closest(contacts), "long-range"
+        else:
+            onto = [v for v in nbrs if ov.is_highway[v]]
+            v, kind = closest(onto or nbrs), "local"
+        path.append(v)
+        kinds.append(kind)
+    flags = [bool(ov.is_highway[v]) for v in path[:-1]] + [True]
+    return RoutingTrace(source=s, target=t, variant=variant, path=path,
+                        edge_kinds=kinds, hops_to_highway=flags.index(True),
+                        dist_st=int(dist[s]))
+
+
 def scalar_traces(g, ov, pairs, variant):
-    return [route(g, ov, s, t, variant) for s, t in pairs]
+    return [reference_route(g, ov, s, t, variant) for s, t in pairs]
 
 
 def test_route_batch_equals_route_trace_by_trace():
     # criterion 10's graph pool; lazy overlays are built twice so that
-    # batch and scalar each materialize their own contacts
+    # batch and reference each materialize their own contacts; a pair
+    # routed alone gives its trace in the batch
     graphs = [gen_lattice(1, 64), gen_lattice(1, 128), gen_lattice(2, 8),
               gen_lattice(2, 12), gen_lattice(2, 16),
               gen_lattice(2, 10, wrap=False), gen_sierpinski(4),
@@ -323,9 +421,11 @@ def test_route_batch_equals_route_trace_by_trace():
             for variant in VARIANTS:
                 got = route_batch(g, build_overlay(g, params, eager), pairs,
                                   variant)
-                want = scalar_traces(g, build_overlay(g, params, eager),
-                                     pairs, variant)
+                ov = build_overlay(g, params, eager)
+                want = scalar_traces(g, ov, pairs, variant)
                 assert got == want, (g.n, seed, eager, variant)
+                assert [route(g, ov, s, t, variant) for s, t in pairs[:3]] \
+                    == want[:3]
 
 
 @settings(max_examples=100, deadline=None)

@@ -58,6 +58,9 @@ def test_tracer_patches_every_traced_name_and_restores_it(monkeypatch,
         pairs = [(s, t) for s, t, _ in fgsw.sample_far_pairs(g, 4, seed=1)]
         fgsw.route(g, ov, *pairs[0])
         fgsw.route_batch(g, ov, pairs)
+        g.distance_row(0)
+        fresh = fgsw.build_overlay(g, params, materialize=False)
+        fresh.contacts(int(fresh.highway_ids[0]))
     after = bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
